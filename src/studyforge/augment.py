@@ -17,6 +17,12 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Output pixels one gather call works on: 8 images of 16x16. Larger blocks
+# gain little speed and grow the temporaries; a block holds at least one image.
+_GATHER_BLOCK_PIXELS = 2048
+# Zero border around each image in the gather (see _bilinear_gather).
+_PAD = 2
+
 
 @dataclass(frozen=True)
 class AffineRanges:
@@ -80,10 +86,11 @@ def sample_affine_params(ranges: AffineRanges, rng: np.random.Generator) -> Affi
     )
 
 
-def _validate_image(img: np.ndarray) -> np.ndarray:
+def _validate_image(img: np.ndarray, ndims=(2,)) -> np.ndarray:
     arr = np.asarray(img, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValidationError(f"image must be 2-D, got shape {arr.shape}")
+    if arr.ndim not in ndims or min(arr.shape[-2:]) < 1:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise ValidationError(f"image must be {dims}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("image intensities must be finite")
     return arr
@@ -124,40 +131,58 @@ def affine_matrix(p: AffineParams, width: int, height: int) -> np.ndarray:
 
 
 def apply_affine(img: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Bilinear resample at mapped source coordinates; zero fill outside."""
-    arr = _validate_image(img)
+    """Bilinear resample at mapped source coordinates; zero fill outside.
+
+    Takes one (h, w) image with a (2, 3) matrix, or a stack (n, h, w) with
+    matrices (n, 2, 3), one per image. A stack is gathered in blocks of at
+    most _GATHER_BLOCK_PIXELS output pixels (at least one image), so the
+    temporaries stay small however many images it holds.
+    """
+    arr = _validate_image(img, ndims=(2, 3))
+    stack = arr if arr.ndim == 3 else arr[None]
+    n, h, w = stack.shape
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 3) or not np.all(np.isfinite(m)):
-        raise ValidationError("matrix must be a finite 2x3 array")
-    h, w = arr.shape
+    if m.shape != arr.shape[:-2] + (2, 3) or not np.all(np.isfinite(m)):
+        raise ValidationError("matrix must be a finite 2x3 array per image")
+    m = m.reshape(n, 2, 3, 1, 1)
     ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
-    sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
-    return _bilinear_gather(arr, sx, sy)
+    out = np.empty((n, h, w))
+    per_block = max(1, _GATHER_BLOCK_PIXELS // (h * w))
+    for start in range(0, n, per_block):
+        mb = m[start : start + per_block]
+        sx = mb[:, 0, 0] * xs + mb[:, 0, 1] * ys + mb[:, 0, 2]
+        sy = mb[:, 1, 0] * xs + mb[:, 1, 1] * ys + mb[:, 1, 2]
+        out[start : start + per_block] = _bilinear_gather(
+            stack[start : start + per_block], sx, sy
+        )
+    return out if arr.ndim == 3 else out[0]
 
 
-def _bilinear_gather(arr: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    h, w = arr.shape
+def _bilinear_gather(stack: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Sample each image of stack (b, h, w) at its own coordinates (b, oh, ow).
+
+    The images are zero-padded by 2 px and the top-left neighbour's indices
+    clipped to [-2, size]: a clipped sample and its +1 neighbour then both
+    land in the zero border, so no mask is needed.
+    """
+    b, h, w = stack.shape
+    padded = np.zeros((b, h + 2 * _PAD, w + 2 * _PAD))
+    padded[:, _PAD:-_PAD, _PAD:-_PAD] = stack
     x0 = np.floor(sx)
     y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-
-    def gather(xi, yi):
-        inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        vals = np.zeros(xi.shape)
-        vals[inside] = arr[yi[inside].astype(int), xi[inside].astype(int)]
-        return vals
-
-    v00 = gather(x0, y0)
-    v10 = gather(x0 + 1, y0)
-    v01 = gather(x0, y0 + 1)
-    v11 = gather(x0 + 1, y0 + 1)
+    row = w + 2 * _PAD
+    xi = np.clip(x0, -_PAD, w).astype(np.intp) + _PAD
+    yi = np.clip(y0, -_PAD, h).astype(np.intp) + _PAD
+    base = np.arange(b).reshape(b, 1, 1) * padded[0].size
+    idx = base + yi * row + xi
+    flat = padded.ravel()
     return (
-        (1.0 - fx) * (1.0 - fy) * v00
-        + fx * (1.0 - fy) * v10
-        + (1.0 - fx) * fy * v01
-        + fx * fy * v11
+        (1.0 - fx) * (1.0 - fy) * flat[idx]
+        + fx * (1.0 - fy) * flat[idx + 1]
+        + (1.0 - fx) * fy * flat[idx + row]
+        + fx * fy * flat[idx + row + 1]
     )
 
 
@@ -176,7 +201,7 @@ def resize_to(img: np.ndarray, side: int = 224) -> np.ndarray:
         grid = np.arange(side, dtype=float) / (side - 1)
         sx = np.tile(grid * (w - 1), (side, 1))
         sy = np.tile((grid * (h - 1))[:, None], (1, side))
-    return _bilinear_gather(arr, sx, sy)
+    return _bilinear_gather(arr[None], sx[None], sy[None])[0]
 
 
 def augment_image(

@@ -38,9 +38,8 @@ class Journal:
             self._fh = open(self.path, "w", encoding="utf-8")
             self.append(KIND_META, **meta)
         else:
+            self._next_seq = _repair_tail(self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
-            existing = read_records(self.path)
-            self._next_seq = len(existing)
 
     def append(self, kind: str, **payload) -> dict:
         """Append one record, assigning the next sequence number."""
@@ -82,13 +81,38 @@ class Journal:
         self.close()
 
 
+def _repair_tail(path: Path) -> int:
+    """Cut the file back to its durable records, newline-terminated.
+
+    Appending after a torn tail would glue the new record onto the garbage,
+    and appending after a final record that lacks its newline would glue two
+    records into one line; either way a read would drop records. Returns the
+    number of durable records.
+    """
+    raw = path.read_bytes()
+    records, end = _parse(raw)
+    with open(path, "r+b") as fh:
+        fh.truncate(end)
+        if end and raw[end - 1 : end] != b"\n":
+            fh.seek(end)
+            fh.write(b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    return len(records)
+
+
 def read_records(path) -> list[dict]:
     """Parse the journal, tolerating a torn final line.
 
     Any unreadable or out-of-sequence record other than the trailing one
     raises JournalCorruptError naming the expected sequence number.
     """
-    raw = Path(path).read_bytes()
+    return _parse(Path(path).read_bytes())[0]
+
+
+def _parse(raw: bytes) -> tuple[list[dict], int]:
+    """The durable records and the byte offset where the last one ends."""
+    end = 0
     lines = raw.split(b"\n")
     # drop trailing empty chunk from the final newline
     if lines and lines[-1] == b"":
@@ -113,7 +137,8 @@ def read_records(path) -> list[dict]:
                 break  # torn write: ignore the tail
             raise JournalCorruptError(len(records), str(exc)) from None
         records.append(record)
-    return records
+        end += len(line) + 1
+    return records, min(end, len(raw))
 
 
 def study_from_records(records: list[dict]) -> Study:

@@ -363,10 +363,9 @@ def resolve_hp(params: dict) -> dict:
     return hp
 
 
-def _evaluate(model: MlpModel, x: np.ndarray, y: np.ndarray):
+def _evaluate(model: MlpModel, x: np.ndarray) -> np.ndarray:
     logits, _ = mlp_forward(model, x, train=False)
-    preds = np.argmax(logits, axis=1)
-    return preds
+    return np.argmax(logits, axis=1)
 
 
 def train_and_evaluate(
@@ -414,14 +413,14 @@ def train_and_evaluate(
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n_train)
+        pool = data.train_x[order]
         if augment:
-            batch_pool = np.empty((n_train, input_dim))
-            for j, idx in enumerate(order):
-                p = sample_affine_params(ranges, rng)
-                m = affine_matrix(p, side, side)
-                batch_pool[j] = apply_affine(data.train_x[idx], m).ravel()
-        else:
-            batch_pool = data.train_x[order].reshape(n_train, -1)
+            # per-image draws in epoch order, then one batched resample
+            mats = np.empty((n_train, 2, 3))
+            for j in range(n_train):
+                mats[j] = affine_matrix(sample_affine_params(ranges, rng), side, side)
+            pool = apply_affine(pool, mats)
+        batch_pool = pool.reshape(n_train, -1)
         labels_pool = data.train_y[order]
 
         for start in range(0, n_train, hp["batch_size"]):
@@ -434,13 +433,14 @@ def train_and_evaluate(
             grads = mlp_backward(model, xb, yb, mask)
             adam_step(model.params(), grads, state, float(hp["lr"]))
 
-        preds = _evaluate(model, val_flat, data.val_y)
+        preds = _evaluate(model, val_flat)
         acc = float(np.mean(preds == data.val_y))
         epoch_accuracies.append(acc)
         if reporter is not None:
             reporter(epoch, acc)
 
-    preds = _evaluate(model, val_flat, data.val_y)
+    if epochs == 0:  # otherwise the last epoch's predictions are the final ones
+        preds = _evaluate(model, val_flat)
     confusion, f1, macro = confusion_and_f1(preds, data.val_y, data.n_classes)
     final_acc = float(np.trace(confusion) / confusion.sum())
     return TrainReport(

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ from studyforge.augment import (
     write_pgm,
 )
 from studyforge.errors import ValidationError
+from studyforge.surrogate import (
+    SyntheticSpec,
+    make_synthetic_dataset,
+    split_arrays,
+    train_and_evaluate,
+)
 
 
 def disk_image(side=64, radius_frac=0.35):
@@ -172,6 +180,120 @@ class TestApplyAffine:
         a = augment_image(img, AffineRanges(), np.random.default_rng(5))
         b = augment_image(img, AffineRanges(), np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shift", [-17.5, -13.25, 12.5, 20.75])
+    def test_far_out_samples_read_zero(self, shift):
+        # every sample and both of its neighbours lie outside the 12x12 image
+        img = np.ones((12, 12))
+        for m in ([[1.0, 0.0, shift], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, shift]]):
+            assert np.all(apply_affine(img, np.array(m)) == 0.0)
+
+    def test_stack_needs_one_matrix_per_image(self):
+        ident = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            apply_affine(np.ones((3, 4, 4)), ident)
+        with pytest.raises(ValidationError):
+            apply_affine(np.ones((3, 4, 4)), np.stack([ident] * 2))
+        with pytest.raises(ValidationError):
+            apply_affine(np.ones((4, 4)), ident[None])
+
+    def test_stack_gather_memory_is_bounded(self):
+        # blocked gather: a few hundred KB of temporaries; one gather over
+        # the whole stack needs about 15 MB
+        rng = np.random.default_rng(0)
+        stack = rng.random((512, 16, 16))
+        mats = np.stack(
+            [affine_matrix(sample_affine_params(AffineRanges(), rng), 16, 16) for _ in range(512)]
+        )
+        tracemalloc.start()
+        try:
+            out = apply_affine(stack, mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 1 << 20
+
+
+def reference_apply_affine(img, m):
+    """Per-pixel bilinear resample with masked neighbour reads."""
+    h, w = img.shape
+    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    sx = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
+    sy = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+
+    def gather(xi, yi):
+        inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+        vals = np.zeros(xi.shape)
+        vals[inside] = img[yi[inside].astype(int), xi[inside].astype(int)]
+        return vals
+
+    return (
+        (1.0 - fx) * (1.0 - fy) * gather(x0, y0)
+        + fx * (1.0 - fy) * gather(x0 + 1, y0)
+        + (1.0 - fx) * fy * gather(x0, y0 + 1)
+        + fx * fy * gather(x0 + 1, y0 + 1)
+    )
+
+
+affine_params = st.builds(
+    AffineParams,
+    rotation_deg=st.floats(-180.0, 180.0),
+    scale=st.floats(0.25, 4.0),
+    shear_frac=st.floats(-1.0, 1.0),
+    translate_x_frac=st.one_of(st.floats(-1.0, 1.0), st.floats(-40.0, 40.0)),
+    translate_y_frac=st.one_of(st.floats(-1.0, 1.0), st.floats(-40.0, 40.0)),
+    hflip=st.booleans(),
+    vflip=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    h=st.integers(min_value=1, max_value=40),
+    w=st.integers(min_value=1, max_value=40),
+    params=st.lists(affine_params, min_size=1, max_size=19),
+)
+def test_stack_matches_per_image_calls_bitwise(seed, h, w, params):
+    # sizes and counts span one image per block through many blocks with a
+    # partial last one
+    stack = np.random.default_rng(seed).random((len(params), h, w))
+    mats = np.stack([affine_matrix(p, w, h) for p in params])
+    out = apply_affine(stack, mats)
+    assert out.shape == stack.shape
+    for img, m, got in zip(stack, mats, out):
+        assert np.array_equal(got, apply_affine(img, m))
+        assert np.array_equal(got, reference_apply_affine(img, m))
+
+
+# sha256 of epoch accuracies (<f8) then confusion (<i8), recorded with the
+# per-image masked gather that the batched one replaced
+AUGMENTED_TRAINING_SHA256 = "7d4ed2d9d8083b6d46954cc3bf5d589d2deeaa4b7eb2a8c3f5cc13a245bfa35f"
+
+
+def test_augmented_training_is_pinned():
+    images, labels = make_synthetic_dataset(SyntheticSpec())
+    params = {
+        "lr": 5e-4,
+        "dropout": 0.1,
+        "batch_size": 16,
+        "rotation": 10.0,
+        "scale": 0.2,
+        "shear": 0.2,
+        "translate": 0.3,
+        "hflip": True,
+        "vflip": True,
+    }
+    report = train_and_evaluate(params, split_arrays(images, labels), epochs=2, seed=0)
+    digest = hashlib.sha256(
+        np.asarray(report.epoch_accuracies, dtype="<f8").tobytes()
+        + np.asarray(report.confusion, dtype="<i8").tobytes()
+    ).hexdigest()
+    assert digest == AUGMENTED_TRAINING_SHA256
 
 
 class TestResize:

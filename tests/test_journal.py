@@ -108,6 +108,21 @@ class TestJournalWriter:
         assert record["seq"] == 5
         assert [r["seq"] for r in read_records(path)] == list(range(6))
 
+    def test_reopen_after_a_cut_at_every_byte_keeps_the_durable_prefix(self, tmp_path):
+        # covers a torn tail and a final record that lacks its newline
+        path = tmp_path / "study.jsonl"
+        write_demo_journal(path)
+        raw = path.read_bytes()
+        for cut in range(len(raw) + 1):
+            path.write_bytes(raw[:cut])
+            durable = read_records(path)
+            with Journal(path) as journal:
+                if durable:
+                    record = journal.append(KIND_CHECKPOINT, trial_id=0)
+                else:
+                    record = journal.append(KIND_META, **meta_for(demo_space()))
+            assert read_records(path) == durable + [record], f"cut at byte {cut}"
+
 
 class TestReadRecords:
     def test_round_trip_preserves_records(self, tmp_path):

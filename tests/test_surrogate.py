@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from studyforge import surrogate
 from studyforge.errors import DivergenceError, ValidationError
 from studyforge.surrogate import (
     DEFAULT_HP,
@@ -408,6 +409,19 @@ class TestTrainAndEvaluate:
         assert report.final_accuracy == pytest.approx(
             float(np.mean(preds == default_split.val_y)), abs=1e-15
         )
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_one_evaluation_per_epoch_and_at_least_one(self, default_split, monkeypatch, epochs):
+        evals = []
+        forward = surrogate.mlp_forward
+
+        def counting_forward(model, batch, train=False, **kwargs):
+            evals.append(train)
+            return forward(model, batch, train=train, **kwargs)
+
+        monkeypatch.setattr(surrogate, "mlp_forward", counting_forward)
+        train_and_evaluate({"lr": 5e-4}, default_split, epochs=epochs)
+        assert evals.count(False) == max(epochs, 1)
 
     def test_deterministic_given_seed(self, default_split):
         a = train_and_evaluate({"lr": 5e-4, "dropout": 0.1}, default_split, epochs=3, seed=4)
