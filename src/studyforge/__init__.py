@@ -1,121 +1,13 @@
-"""Hyperparameter studies with TPE search, pruning, and journaled runs."""
+"""Hyperparameter studies with TPE search, pruning, and journaled runs.
 
-from .config import (
-    DataConfig,
-    ExperimentConfig,
-    SamplerSpec,
-    SyntheticConfig,
-    apply_overrides,
-    dump_config,
-    parse_config,
-    serialize_config,
-)
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    ExhaustedSearchError,
-    JournalCorruptError,
-    JournalError,
-    ManifestParseError,
-    OrderingError,
-    StateError,
-    StudyForgeError,
-    TrialPruned,
-    ValidationError,
-)
-from .journal import Journal, read_records, resume_study, study_from_records
-from .orchestrator import RunPolicy, StudyResult, run_study
-from .pruning import PrunerConfig, should_prune
-from .samplers import (
-    GridSampler,
-    ParzenEstimator,
-    RandomSampler,
-    TpeConfig,
-    TpeSampler,
-    fit_parzen,
-    grid_enumerate,
-    make_sampler,
-    parzen_logpdf,
-    parzen_sample,
-    suggest_random,
-    tpe_suggest,
-)
-from .study import (
-    Distribution,
-    SearchSpace,
-    Study,
-    TrialRecord,
-    TrialState,
-    boolean,
-    choice,
-    create_study,
-    int_categorical,
-    log_uniform,
-    uniform,
-)
-from .surrogate import (
-    SyntheticSpec,
-    benchmark_objective,
-    make_synthetic_dataset,
-    train_and_evaluate,
-)
+The package exports the two calls a script needs; everything else is
+imported from its own module (``studyforge.study``, ``studyforge.config``,
+...).
+"""
+
+from .config import parse_config
+from .orchestrator import run_study
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DataConfig",
-    "Distribution",
-    "DivergenceError",
-    "ExhaustedSearchError",
-    "ExperimentConfig",
-    "GridSampler",
-    "Journal",
-    "JournalCorruptError",
-    "JournalError",
-    "ManifestParseError",
-    "OrderingError",
-    "ParzenEstimator",
-    "PrunerConfig",
-    "RandomSampler",
-    "RunPolicy",
-    "SamplerSpec",
-    "SearchSpace",
-    "StateError",
-    "Study",
-    "StudyForgeError",
-    "StudyResult",
-    "SyntheticConfig",
-    "SyntheticSpec",
-    "TpeConfig",
-    "TpeSampler",
-    "TrialPruned",
-    "TrialRecord",
-    "TrialState",
-    "ValidationError",
-    "apply_overrides",
-    "benchmark_objective",
-    "boolean",
-    "choice",
-    "create_study",
-    "dump_config",
-    "fit_parzen",
-    "grid_enumerate",
-    "int_categorical",
-    "log_uniform",
-    "make_sampler",
-    "make_synthetic_dataset",
-    "parse_config",
-    "parzen_logpdf",
-    "parzen_sample",
-    "read_records",
-    "resume_study",
-    "run_study",
-    "serialize_config",
-    "should_prune",
-    "study_from_records",
-    "suggest_random",
-    "tpe_suggest",
-    "train_and_evaluate",
-    "uniform",
-]
+__all__ = ["__version__", "parse_config", "run_study"]

@@ -70,9 +70,6 @@ class ExperimentConfig:
     data: DataConfig | None = None
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
 
-    def pruner_config(self) -> PrunerConfig:
-        return self.pruner if self.pruner is not None else PrunerConfig()
-
     @property
     def direction(self) -> str:
         return direction_for_objective(self.objective)
@@ -204,59 +201,36 @@ def _check_benchmark_space(objective: str, space: SearchSpace) -> None:
         raise ConfigError("rosenbrock-2d needs exactly two parameters", path="space")
 
 
+def _parse_section(node, path: str, cls, ints=(), floats=()):
+    """Build dataclass ``cls`` from a mapping of int and float keys."""
+    node = dict(_require_mapping(node, path))
+    kwargs = {}
+    for keys, convert in ((ints, _as_int), (floats, _as_float)):
+        for key in keys:
+            if key in node:
+                kwargs[key] = convert(node.pop(key), _join(path, key))
+    _reject_unknown(node, path)
+    try:
+        return cls(**kwargs)
+    except Exception as exc:
+        raise ConfigError(str(exc), path=path) from exc
+
+
 def _parse_sampler(node, path: str) -> SamplerSpec:
     node = dict(_require_mapping(node, path))
     kind = _as_str(
         _take(node, "kind", path, default="tpe"), _join(path, "kind"), allowed=SAMPLER_KINDS
     )
     resolution = _as_int(_take(node, "resolution", path, default=5), _join(path, "resolution"))
-    tpe_node = _take(node, "tpe", path, default={})
-    tpe_node = dict(_require_mapping(tpe_node, _join(path, "tpe")))
-    tpe_path = _join(path, "tpe")
-    kwargs = {}
-    for key in ("n_startup_trials", "n_candidates", "gamma_cap"):
-        if key in tpe_node:
-            kwargs[key] = _as_int(tpe_node.pop(key), _join(tpe_path, key))
-    for key in ("gamma_fraction", "prior_weight"):
-        if key in tpe_node:
-            kwargs[key] = _as_float(tpe_node.pop(key), _join(tpe_path, key))
-    _reject_unknown(tpe_node, tpe_path)
+    tpe = _parse_section(
+        _take(node, "tpe", path, default={}),
+        _join(path, "tpe"),
+        TpeConfig,
+        ints=("n_startup_trials", "n_candidates", "gamma_cap"),
+        floats=("gamma_fraction", "prior_weight"),
+    )
     _reject_unknown(node, path)
-    try:
-        tpe = TpeConfig(**kwargs)
-    except Exception as exc:
-        raise ConfigError(str(exc), path=tpe_path) from exc
     return SamplerSpec(kind=kind, tpe=tpe, resolution=resolution)
-
-
-def _parse_pruner(node, path: str) -> PrunerConfig:
-    node = dict(_require_mapping(node, path))
-    kwargs = {}
-    for key in ("warmup_steps", "min_completed"):
-        if key in node:
-            kwargs[key] = _as_int(node.pop(key), _join(path, key))
-    _reject_unknown(node, path)
-    try:
-        return PrunerConfig(**kwargs)
-    except Exception as exc:
-        raise ConfigError(str(exc), path=path) from exc
-
-
-def _parse_policy(node, path: str, pruning_enabled: bool) -> RunPolicy:
-    node = dict(_require_mapping(node, path))
-    kwargs = {"pruning_enabled": pruning_enabled}
-    if "n_trials" in node:
-        kwargs["n_trials"] = _as_int(node.pop("n_trials"), _join(path, "n_trials"))
-    if "max_parallel" in node:
-        kwargs["max_parallel"] = _as_int(node.pop("max_parallel"), _join(path, "max_parallel"))
-    for key in ("save_threshold", "stop_threshold"):
-        if key in node:
-            kwargs[key] = _as_float(node.pop(key), _join(path, key))
-    _reject_unknown(node, path)
-    try:
-        return RunPolicy(**kwargs)
-    except Exception as exc:
-        raise ConfigError(str(exc), path=path) from exc
 
 
 def _parse_data(node, path: str) -> DataConfig:
@@ -271,21 +245,6 @@ def _parse_data(node, path: str) -> DataConfig:
         raise ConfigError("ratios must be nonnegative and sum to 1", path=_join(path, "ratios"))
     _reject_unknown(node, path)
     return DataConfig(manifest=manifest, ratios=ratios, seed=seed)
-
-
-def _parse_synthetic(node, path: str) -> SyntheticConfig:
-    node = dict(_require_mapping(node, path))
-    kwargs = {}
-    for key in ("n_per_class", "image_side", "seed"):
-        if key in node:
-            kwargs[key] = _as_int(node.pop(key), _join(path, key))
-    if "noise_std" in node:
-        kwargs["noise_std"] = _as_float(node.pop("noise_std"), _join(path, "noise_std"))
-    _reject_unknown(node, path)
-    try:
-        return SyntheticConfig(**kwargs)
-    except Exception as exc:
-        raise ConfigError(str(exc), path=path) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -321,17 +280,29 @@ def config_from_mapping(raw) -> ExperimentConfig:
 
     pruner = None
     if "pruner" in raw:
-        pruner = _parse_pruner(raw.pop("pruner"), "pruner")
+        pruner = _parse_section(
+            raw.pop("pruner"), "pruner", PrunerConfig, ints=("warmup_steps", "min_completed")
+        )
 
-    policy_node = _take(raw, "policy", "", default={})
-    policy = _parse_policy(policy_node, "policy", pruning_enabled=pruner is not None)
+    policy = _parse_section(
+        _take(raw, "policy", "", default={}),
+        "policy",
+        RunPolicy,
+        ints=("n_trials", "max_parallel"),
+        floats=("save_threshold", "stop_threshold"),
+    )
 
     data = None
     if "data" in raw:
         data = _parse_data(raw.pop("data"), "data")
 
-    synthetic_node = _take(raw, "synthetic", "", default={})
-    synthetic = _parse_synthetic(synthetic_node, "synthetic")
+    synthetic = _parse_section(
+        _take(raw, "synthetic", "", default={}),
+        "synthetic",
+        SyntheticConfig,
+        ints=("n_per_class", "image_side", "seed"),
+        floats=("noise_std",),
+    )
 
     _reject_unknown(raw, "")
 

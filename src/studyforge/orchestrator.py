@@ -1,18 +1,19 @@
 """Study runner: ask -> objective -> report/prune -> tell, with journaling.
 
 One coordinator owns the study and journal; objectives may execute on up
-to max_parallel worker threads, but every study mutation and journal
-append happens under the coordinator lock, so samplers always see a
-consistent history snapshot. Threshold policy: once a completed value
-meets save_threshold and improves on the prior best, a checkpoint record
-is written; once a completed value meets stop_threshold, no further
-trials start. Runs are bitwise deterministic for max_parallel = 1.
+to min(max_parallel, n_trials, CPU count) worker threads, but every study
+mutation and journal append happens under the coordinator lock, so
+samplers always see a consistent history snapshot. Threshold policy: once
+a completed value meets save_threshold and improves on the prior best, a
+checkpoint record is written; once a completed value meets
+stop_threshold, no further trials start. Runs are bitwise deterministic for max_parallel = 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,7 +73,6 @@ class RunPolicy:
     save_threshold: float | None = None
     stop_threshold: float | None = None
     max_parallel: int = 1
-    pruning_enabled: bool = False
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -187,7 +187,7 @@ def config_hash(config: "ExperimentConfig") -> str:
 
 def run_study(config: "ExperimentConfig", journal_path=None) -> StudyResult:
     """Execute the configured study end to end, journaling every event."""
-    direction = direction_for_objective(config.objective)
+    direction = config.direction
     policy = config.policy
     policy.validate_for_direction(direction)
     study = create_study(config.space, direction, config.seed)
@@ -278,8 +278,8 @@ def run_study(config: "ExperimentConfig", journal_path=None) -> StudyResult:
                         step=step,
                         value=value,
                     )
-                    prune = policy.pruning_enabled and should_prune(
-                        study, trial.trial_id, step, config.pruner_config()
+                    prune = config.pruner is not None and should_prune(
+                        study, trial.trial_id, step, config.pruner
                     )
                 if prune:
                     raise TrialPruned()
@@ -295,16 +295,16 @@ def run_study(config: "ExperimentConfig", journal_path=None) -> StudyResult:
             else:
                 finish_complete(trial, float(value), metrics)
 
-        if policy.max_parallel == 1:
+        def worker():
             while (trial := start_trial()) is not None:
                 run_one(trial)
-        else:
-            def worker():
-                while (trial := start_trial()) is not None:
-                    run_one(trial)
 
-            with ThreadPoolExecutor(max_workers=policy.max_parallel) as pool:
-                futures = [pool.submit(worker) for _ in range(policy.max_parallel)]
+        workers = min(policy.max_parallel, policy.n_trials, os.cpu_count() or 1)
+        if workers == 1:
+            worker()
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(worker) for _ in range(workers)]
                 for f in futures:
                     f.result()
 

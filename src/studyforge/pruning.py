@@ -40,7 +40,6 @@ def should_prune(
     trial_id: int,
     step: int,
     cfg: PrunerConfig = PrunerConfig(),
-    direction: str | None = None,
 ) -> bool:
     """Decide whether the running trial should stop at this step.
 
@@ -48,8 +47,6 @@ def should_prune(
     reported at the step; otherwise true iff the trial's value is strictly
     worse than the completed trials' median there (equal survives).
     """
-    if direction is None:
-        direction = study.direction
     if not 0 <= trial_id < len(study.trials):
         raise StateError(f"unknown trial id {trial_id}")
     trial = study.trials[trial_id]
@@ -70,4 +67,4 @@ def should_prune(
     if len(peer_values) < cfg.min_completed:
         return False
     med = _median(peer_values)
-    return value < med if direction == MAXIMIZE else value > med
+    return value < med if study.direction == MAXIMIZE else value > med

@@ -75,7 +75,6 @@ class TestParseConfig:
         assert config.sampler.kind == "tpe"
         assert config.policy.n_trials == 30
         assert config.pruner is None
-        assert config.policy.pruning_enabled is False
 
     def test_pruner_section_enables_pruning(self):
         config = parse_config(
@@ -83,7 +82,6 @@ class TestParseConfig:
             "space:\n  lr: {kind: log-uniform-float, low: 1.0e-4, high: 1.0e-3}\n"
             "pruner: {warmup_steps: 1, min_completed: 2}\n"
         )
-        assert config.policy.pruning_enabled is True
         assert config.pruner.warmup_steps == 1
         assert config.pruner.min_completed == 2
 
@@ -196,6 +194,42 @@ class TestParseConfig:
     def test_non_mapping_root_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("- a\n- b\n")
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("policy: 3", "expected a mapping at policy"),
+            ("policy: {n_trials: 1.5}", "policy.n_trials: expected an integer, got 1.5"),
+            ("policy: {max_parallel: two}", "policy.max_parallel: expected an integer, got 'two'"),
+            ("policy: {save_threshold: high}", "policy.save_threshold: expected a number, got 'high'"),
+            ("policy: {bogus: 1}", "policy.bogus: unknown key"),
+            ("policy: {max_parallel: 0}", "policy: max_parallel must be >= 1"),
+            ("pruner: [1]", "expected a mapping at pruner"),
+            ("pruner: {warmup_steps: true}", "pruner.warmup_steps: expected an integer, got True"),
+            ("pruner: {bogus: 1}", "pruner.bogus: unknown key"),
+            ("pruner: {warmup_steps: -1}", "pruner: warmup_steps must be >= 0"),
+            ("pruner: {min_completed: 0}", "pruner: min_completed must be >= 1"),
+            ("synthetic: 7", "expected a mapping at synthetic"),
+            ("synthetic: {n_per_class: 1.5}", "synthetic.n_per_class: expected an integer, got 1.5"),
+            ("synthetic: {noise_std: loud}", "synthetic.noise_std: expected a number, got 'loud'"),
+            ("synthetic: {bogus: 1}", "synthetic.bogus: unknown key"),
+            ("sampler: {tpe: 1}", "expected a mapping at sampler.tpe"),
+            ("sampler: {tpe: {n_candidates: 2.0}}", "sampler.tpe.n_candidates: expected an integer, got 2.0"),
+            ("sampler: {tpe: {gamma_fraction: x}}", "sampler.tpe.gamma_fraction: expected a number, got 'x'"),
+            ("sampler: {tpe: {bogus: 1}}", "sampler.tpe.bogus: unknown key"),
+            ("sampler: {tpe: {gamma_fraction: 1.5}}", "sampler.tpe: gamma_fraction must be in (0, 1]"),
+            ("sampler: {tpe: {n_startup_trials: 0}}", "sampler.tpe: TPE counts must be positive"),
+        ],
+    )
+    def test_section_error_text(self, section, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                "objective: quadratic-1d\n"
+                "space:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+                + section
+                + "\n"
+            )
+        assert str(excinfo.value) == message
 
     def test_unknown_objective_and_sampler(self):
         with pytest.raises(ConfigError, match="objective"):

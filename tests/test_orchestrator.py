@@ -1,8 +1,16 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
-from studyforge.config import ExperimentConfig, SamplerSpec, SyntheticConfig
+from studyforge import orchestrator
+from studyforge.config import (
+    ExperimentConfig,
+    SamplerSpec,
+    SyntheticConfig,
+    dump_config,
+    parse_config,
+)
 from studyforge.errors import ValidationError
 from studyforge.journal import read_records, resume_study
 from studyforge.orchestrator import (
@@ -36,7 +44,7 @@ def surrogate_config(tmp_path, *, space=None, epochs=2, policy=None, pruner=None
         output_dir=str(tmp_path / "out"),
         sampler=SamplerSpec(kind="random"),
         pruner=pruner,
-        policy=policy or RunPolicy(n_trials=2, pruning_enabled=pruner is not None),
+        policy=policy or RunPolicy(n_trials=2),
         synthetic=SyntheticConfig(n_per_class=30),
     )
 
@@ -171,6 +179,61 @@ class TestRunStudyBenchmark:
         assert first == second
 
 
+class FakeExecutor:
+    """Stands in for ThreadPoolExecutor: records its size and runs each
+    submitted function inline, so no thread starts."""
+
+    instances = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        FakeExecutor.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn())
+        return future
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        FakeExecutor.instances = []
+        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", FakeExecutor)
+        return FakeExecutor.instances
+
+    @pytest.mark.parametrize(
+        "n_trials, max_parallel, cpus, expected",
+        [
+            (3, 1_000_000, 64, 3),
+            (10, 1_000_000, 4, 4),
+            (10, 2, 4, 2),
+            (10, 8, None, 1),
+            (1, 8, 4, 1),
+            (10, 1, 4, 1),
+        ],
+    )
+    def test_workers_bounded_by_trials_and_cpus(
+        self, tmp_path, monkeypatch, fake_pool, n_trials, max_parallel, cpus, expected
+    ):
+        monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: cpus)
+        policy = RunPolicy(n_trials=n_trials, max_parallel=max_parallel)
+        result = run_study(quadratic_config(tmp_path, policy=policy))
+        assert len(result.study.completed_trials()) == n_trials
+        if expected == 1:
+            assert fake_pool == []
+        else:
+            assert [(p.max_workers, p.submitted) for p in fake_pool] == [(expected, expected)]
+
+
 class TestRunStudySurrogate:
     def test_trial_end_carries_metrics(self, tmp_path):
         result = run_study(surrogate_config(tmp_path))
@@ -223,7 +286,7 @@ class TestRunStudySurrogate:
             space=SearchSpace({"lr": log_uniform(1e-7, 1e-3)}),
             epochs=5,
             pruner=PrunerConfig(warmup_steps=1, min_completed=2),
-            policy=RunPolicy(n_trials=10, pruning_enabled=True),
+            policy=RunPolicy(n_trials=10),
         )
         result = run_study(config)
         states = [t.state for t in result.study.trials]
@@ -253,10 +316,25 @@ class TestRunStudySurrogate:
             tmp_path,
             space=SearchSpace({"lr": log_uniform(1e-7, 1e-3)}),
             epochs=5,
-            policy=RunPolicy(n_trials=10, pruning_enabled=False),
+            policy=RunPolicy(n_trials=10),
         )
         result = run_study(config)
         assert all(t.state is not TrialState.PRUNED for t in result.study.trials)
+
+    def test_pruner_in_code_and_round_trip_run_identically(self, tmp_path):
+        config = surrogate_config(
+            tmp_path,
+            space=SearchSpace({"lr": log_uniform(1e-7, 1e-3)}),
+            epochs=5,
+            pruner=PrunerConfig(warmup_steps=1, min_completed=2),
+            policy=RunPolicy(n_trials=10),
+        )
+        first = run_study(config)
+        in_code = first.journal_path.read_bytes()
+        assert any(t.state is TrialState.PRUNED for t in first.study.trials)
+        second = run_study(parse_config(dump_config(config)))
+        assert second.journal_path == first.journal_path
+        assert second.journal_path.read_bytes() == in_code
 
 
 class TestBuildSurrogateData:
