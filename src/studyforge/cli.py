@@ -18,13 +18,7 @@ import yaml
 from .config import apply_overrides, config_from_mapping
 from .errors import ConfigError, StudyForgeError
 from .journal import read_records, study_from_records
-from .manifest import (
-    balance_binary,
-    exclude_multi_image_studies,
-    load_manifest,
-    stratified_split,
-    write_split,
-)
+from .manifest import TASK_CLASSES, load_manifest, select_cohort, write_split
 from .orchestrator import run_study
 from .reporting import write_reports
 
@@ -89,14 +83,7 @@ def cmd_best(journal_path: str) -> int:
 
 
 def cmd_split(manifest_path: str, seed: int, mode: str, out_dir: str) -> int:
-    entries = exclude_multi_image_studies(load_manifest(manifest_path))
-    if mode == "binary":
-        from .manifest import binary_label
-
-        entries = [e for e, _ in balance_binary(entries, seed)]
-        split = stratified_split(entries, seed=seed, label_key=binary_label)
-    else:
-        split = stratified_split(entries, seed=seed)
+    split = select_cohort(load_manifest(manifest_path), mode, seed)
     paths = write_split(split, out_dir, mode)
     for path in paths.values():
         print(path)
@@ -132,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_split = sub.add_parser("split", help="split a dataset manifest into train/val/test")
     p_split.add_argument("manifest", help="path to the manifest CSV")
     p_split.add_argument("--seed", type=int, default=0)
-    p_split.add_argument("--mode", choices=("binary", "multiclass"), default="multiclass")
+    p_split.add_argument("--mode", choices=tuple(TASK_CLASSES), default="multiclass")
     p_split.add_argument("--out", required=True, help="output directory")
 
     return parser

@@ -7,11 +7,12 @@ in, config out; the seed env override is applied by the CLI layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
+from .manifest import DEFAULT_RATIOS, TASK_CLASSES, check_ratios
 from .orchestrator import RunPolicy, direction_for_objective
 from .pruning import PrunerConfig
 from .samplers import TpeConfig
@@ -24,28 +25,17 @@ from .study import (
     Distribution,
     SearchSpace,
 )
-from .surrogate import BENCHMARKS, DEFAULT_HP
+from .surrogate import BENCHMARKS, DEFAULT_HP, SyntheticSpec
 
-TASKS = ("binary", "multiclass")
 SAMPLER_KINDS = ("tpe", "random", "grid")
 
 SURROGATE_PARAMS = tuple(DEFAULT_HP)
 
 
 @dataclass(frozen=True)
-class SyntheticConfig:
-    """Built-in dataset used when no manifest is given."""
-
-    n_per_class: int = 60
-    image_side: int = 16
-    noise_std: float = 0.8
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class DataConfig:
     manifest: str
-    ratios: tuple = (0.7, 0.2, 0.1)
+    ratios: tuple = DEFAULT_RATIOS
     seed: int = 0
 
 
@@ -68,7 +58,7 @@ class ExperimentConfig:
     pruner: PrunerConfig | None = None
     policy: RunPolicy = field(default_factory=RunPolicy)
     data: DataConfig | None = None
-    synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
+    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     @property
     def direction(self) -> str:
@@ -237,12 +227,15 @@ def _parse_data(node, path: str) -> DataConfig:
     node = dict(_require_mapping(node, path))
     manifest = _as_str(_take(node, "manifest", path, required=True), _join(path, "manifest"))
     seed = _as_int(_take(node, "seed", path, default=0), _join(path, "seed"))
-    ratios = _take(node, "ratios", path, default=[0.7, 0.2, 0.1])
-    if not isinstance(ratios, list) or len(ratios) != 3:
-        raise ConfigError("ratios must be a list of three numbers", path=_join(path, "ratios"))
-    ratios = tuple(_as_float(r, _join(path, "ratios")) for r in ratios)
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("ratios must be nonnegative and sum to 1", path=_join(path, "ratios"))
+    ratios_path = _join(path, "ratios")
+    ratios = _take(node, "ratios", path, default=list(DEFAULT_RATIOS))
+    if not isinstance(ratios, list):
+        raise ConfigError("ratios must be a list of three numbers", path=ratios_path)
+    ratios = [_as_float(r, ratios_path) for r in ratios]
+    try:
+        ratios = check_ratios(ratios)
+    except ValidationError as exc:
+        raise ConfigError(str(exc), path=ratios_path) from None
     _reject_unknown(node, path)
     return DataConfig(manifest=manifest, ratios=ratios, seed=seed)
 
@@ -262,7 +255,7 @@ def config_from_mapping(raw) -> ExperimentConfig:
         "objective",
         allowed=("surrogate",) + BENCHMARKS,
     )
-    task = _as_str(_take(raw, "task", "", default="binary"), "task", allowed=TASKS)
+    task = _as_str(_take(raw, "task", "", default="binary"), "task", allowed=tuple(TASK_CLASSES))
     seed = _as_int(_take(raw, "seed", "", default=0), "seed")
     epochs = _as_int(_take(raw, "epochs", "", default=20), "epochs")
     if epochs < 1:
@@ -299,7 +292,7 @@ def config_from_mapping(raw) -> ExperimentConfig:
     synthetic = _parse_section(
         _take(raw, "synthetic", "", default={}),
         "synthetic",
-        SyntheticConfig,
+        SyntheticSpec,
         ints=("n_per_class", "image_side", "seed"),
         floats=("noise_std",),
     )
@@ -338,34 +331,20 @@ def serialize_config(config: ExperimentConfig) -> dict:
         "sampler": {
             "kind": config.sampler.kind,
             "resolution": config.sampler.resolution,
-            "tpe": {
-                "n_startup_trials": config.sampler.tpe.n_startup_trials,
-                "n_candidates": config.sampler.tpe.n_candidates,
-                "gamma_cap": config.sampler.tpe.gamma_cap,
-                "gamma_fraction": config.sampler.tpe.gamma_fraction,
-                "prior_weight": config.sampler.tpe.prior_weight,
-            },
+            "tpe": asdict(config.sampler.tpe),
         },
         "policy": {
             "n_trials": config.policy.n_trials,
             "max_parallel": config.policy.max_parallel,
         },
-        "synthetic": {
-            "n_per_class": config.synthetic.n_per_class,
-            "image_side": config.synthetic.image_side,
-            "noise_std": config.synthetic.noise_std,
-            "seed": config.synthetic.seed,
-        },
+        "synthetic": asdict(config.synthetic),
     }
     if config.policy.save_threshold is not None:
         out["policy"]["save_threshold"] = config.policy.save_threshold
     if config.policy.stop_threshold is not None:
         out["policy"]["stop_threshold"] = config.policy.stop_threshold
     if config.pruner is not None:
-        out["pruner"] = {
-            "warmup_steps": config.pruner.warmup_steps,
-            "min_completed": config.pruner.min_completed,
-        }
+        out["pruner"] = asdict(config.pruner)
     if config.data is not None:
         out["data"] = {
             "manifest": config.data.manifest,

@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +29,12 @@ LABELS = (
 NEGATIVE_LABEL = LABELS[0]
 BINARY_NEGATIVE = "negative"
 BINARY_POSITIVE = "positive"
+
+# The class names of each task, in class-index order.
+TASK_CLASSES = {
+    "binary": (BINARY_NEGATIVE, BINARY_POSITIVE),
+    "multiclass": LABELS,
+}
 
 MANIFEST_HEADER = ["study_id", "image_path", "label", "images_in_study"]
 
@@ -51,6 +57,11 @@ class ManifestEntry:
 
 def binary_label(entry: ManifestEntry) -> str:
     return BINARY_NEGATIVE if entry.label == NEGATIVE_LABEL else BINARY_POSITIVE
+
+
+def task_label(entry: ManifestEntry, task: str) -> str:
+    """The entry's class name under ``task`` (one of ``TASK_CLASSES[task]``)."""
+    return binary_label(entry) if task == "binary" else entry.label
 
 
 @dataclass
@@ -82,11 +93,10 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
             raise ManifestParseError(
                 line_no, f"images_in_study must be an integer, got {count_text!r}"
             ) from None
-        if label not in LABELS:
-            raise ManifestParseError(line_no, f"unknown label {label!r}")
-        if count < 1:
-            raise ManifestParseError(line_no, "images_in_study must be >= 1")
-        entries.append(ManifestEntry(study_id, image_path, label, count))
+        try:
+            entries.append(ManifestEntry(study_id, image_path, label, count))
+        except ValidationError as exc:
+            raise ManifestParseError(line_no, str(exc)) from None
     return entries
 
 
@@ -146,33 +156,39 @@ def allocate_largest_remainder(n: int, ratios) -> list[int]:
     return alloc
 
 
-def stratified_split(
-    entries: list[ManifestEntry],
-    ratios=DEFAULT_RATIOS,
-    seed: int = 0,
-    label_key: Callable[[ManifestEntry], str] | None = None,
-) -> SplitResult:
-    """Seeded stratified split with per-class largest-remainder counts.
-
-    Within each label class the entries are shuffled, then contiguous
-    slices of the shuffle go to train/val/test per the allocation.
-    """
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """Train/val/test ratios as floats: three positive numbers summing to 1."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValidationError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValidationError(f"ratios must sum to 1, got {sum(ratios)}")
+    return ratios
+
+
+def stratified_split(
+    entries: Iterable,
+    ratios=DEFAULT_RATIOS,
+    seed: int = 0,
+    label_key: Callable | None = None,
+) -> SplitResult:
+    """Seeded stratified split with per-class largest-remainder counts.
+
+    Within each label class (sorted) the entries are shuffled, then
+    contiguous slices of the shuffle go to train/val/test per the
+    allocation. Entries may be any items when ``label_key`` is given;
+    ``surrogate.split_arrays`` splits array indices this way.
+    """
+    ratios = check_ratios(ratios)
     if label_key is None:
         label_key = lambda e: e.label
 
-    by_class: dict[str, list[ManifestEntry]] = {}
+    by_class: dict = {}
     for e in entries:
         by_class.setdefault(label_key(e), []).append(e)
 
     rng = np.random.default_rng(seed)
-    train: list[ManifestEntry] = []
-    val: list[ManifestEntry] = []
-    test: list[ManifestEntry] = []
+    train, val, test = [], [], []
     for label in sorted(by_class):
         members = by_class[label]
         perm = rng.permutation(len(members))
@@ -182,6 +198,17 @@ def stratified_split(
         val += shuffled[n_train : n_train + n_val]
         test += shuffled[n_train + n_val :]
     return SplitResult(train=train, val=val, test=test, seed=seed)
+
+
+def select_cohort(
+    entries: list[ManifestEntry], task: str, seed: int, ratios=DEFAULT_RATIOS
+) -> SplitResult:
+    """The cohort of ``task``: drop multi-image studies, balance a binary pool
+    1:1, then split stratified on ``task_label``."""
+    entries = exclude_multi_image_studies(entries)
+    if task == "binary":
+        entries = [e for e, _ in balance_binary(entries, seed)]
+    return stratified_split(entries, ratios, seed, label_key=lambda e: task_label(e, task))
 
 
 def entries_to_csv(entries: list[ManifestEntry]) -> str:

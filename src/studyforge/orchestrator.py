@@ -31,14 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .journal import Journal
-from .manifest import (
-    LABELS,
-    balance_binary,
-    binary_label,
-    exclude_multi_image_studies,
-    load_manifest,
-    stratified_split,
-)
+from .manifest import TASK_CLASSES, load_manifest, select_cohort, task_label
 from .pruning import should_prune
 from .samplers import make_sampler
 from .study import (
@@ -54,7 +47,6 @@ from .study import (
 from .surrogate import (
     BENCHMARKS,
     SplitArrays,
-    SyntheticSpec,
     benchmark_objective,
     make_synthetic_dataset,
     split_arrays,
@@ -112,45 +104,29 @@ def load_manifest_arrays(config: "ExperimentConfig") -> SplitArrays:
     """Build train/val/test rasters from a manifest of PGM files."""
     data_cfg = config.data
     manifest_path = Path(data_cfg.manifest)
-    entries = exclude_multi_image_studies(load_manifest(manifest_path))
+    split = select_cohort(
+        load_manifest(manifest_path), config.task, data_cfg.seed, data_cfg.ratios
+    )
     base = manifest_path.parent
     side = config.synthetic.image_side
-
-    if config.task == "binary":
-        pool = balance_binary(entries, data_cfg.seed)
-        entries = [e for e, _ in pool]
-        split = stratified_split(entries, data_cfg.ratios, data_cfg.seed, label_key=binary_label)
-        label_of = lambda e: 0 if binary_label(e) == "negative" else 1
-        n_classes = 2
-    else:
-        split = stratified_split(entries, data_cfg.ratios, data_cfg.seed)
-        label_of = lambda e: LABELS.index(e.label)
-        n_classes = 4
+    classes = TASK_CLASSES[config.task]
 
     def rasters(group):
         xs = np.array([resize_to(read_pgm(base / e.image_path), side) for e in group])
-        ys = np.array([label_of(e) for e in group], dtype=int)
+        ys = np.array([classes.index(task_label(e, config.task)) for e in group], dtype=int)
         return xs, ys
 
     train_x, train_y = rasters(split.train)
     val_x, val_y = rasters(split.val)
     test_x, test_y = rasters(split.test)
-    return SplitArrays(train_x, train_y, val_x, val_y, test_x, test_y, side, n_classes)
+    return SplitArrays(train_x, train_y, val_x, val_y, test_x, test_y, side, len(classes))
 
 
 def build_surrogate_data(config: "ExperimentConfig") -> SplitArrays:
     if config.data is not None:
         return load_manifest_arrays(config)
-    syn = config.synthetic
-    spec = SyntheticSpec(
-        n_classes=2 if config.task == "binary" else 4,
-        n_per_class=syn.n_per_class,
-        image_side=syn.image_side,
-        noise_std=syn.noise_std,
-        seed=syn.seed,
-    )
-    images, labels = make_synthetic_dataset(spec)
-    return split_arrays(images, labels, seed=syn.seed)
+    images, labels = make_synthetic_dataset(config.synthetic, len(TASK_CLASSES[config.task]))
+    return split_arrays(images, labels, seed=config.synthetic.seed)
 
 
 def build_objective(config: "ExperimentConfig") -> Objective:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import AffineRanges, affine_matrix, apply_affine, sample_affine_params
 from .errors import DivergenceError, ValidationError
-from .manifest import allocate_largest_remainder
+from .manifest import DEFAULT_RATIOS, stratified_split
 
 BENCHMARKS = ("sphere", "rosenbrock-2d", "quadratic-1d")
 
@@ -43,17 +43,17 @@ HIDDEN_DIM = 32
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """Built-in dataset used when no manifest is given; its image_side is
+    also the raster side of manifest runs."""
+
     # noise_std 0.8 keeps the classes linearly separable by the template
     # matched filter while making training sensitive to the learning rate
-    n_classes: int = 2
     n_per_class: int = 60
     image_side: int = 16
     noise_std: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes not in (2, 4):
-            raise ValidationError("n_classes must be 2 or 4")
         if self.n_per_class < 1:
             raise ValidationError("n_per_class must be >= 1")
         if self.image_side < 2:
@@ -71,13 +71,17 @@ def class_template(c: int, n_classes: int, side: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(2.0 * math.pi * 2.0 * u)
 
 
-def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+def make_synthetic_dataset(
+    spec: SyntheticSpec, n_classes: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
     """Images (N, side, side) in [0,1] and labels (N,), class-major order."""
+    if n_classes not in (2, 4):
+        raise ValidationError("n_classes must be 2 or 4")
     rng = np.random.default_rng(spec.seed)
     images = []
     labels = []
-    for c in range(spec.n_classes):
-        template = class_template(c, spec.n_classes, spec.image_side)
+    for c in range(n_classes):
+        template = class_template(c, n_classes, spec.image_side)
         for _ in range(spec.n_per_class):
             noisy = template + rng.normal(0.0, spec.noise_std, template.shape)
             images.append(np.clip(noisy, 0.0, 1.0))
@@ -102,31 +106,22 @@ class SplitArrays:
 def split_arrays(
     images: np.ndarray,
     labels: np.ndarray,
-    ratios=(0.7, 0.2, 0.1),
+    ratios=DEFAULT_RATIOS,
     seed: int = 0,
 ) -> SplitArrays:
-    """Stratified 70:20:10-style split of a raster pool (largest remainder)."""
-    rng = np.random.default_rng(seed)
-    parts: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for c in sorted(set(int(v) for v in labels)):
-        idx = np.flatnonzero(labels == c)
-        idx = idx[rng.permutation(len(idx))]
-        n_train, n_val, _ = allocate_largest_remainder(len(idx), ratios)
-        parts["train"] += list(idx[:n_train])
-        parts["val"] += list(idx[n_train : n_train + n_val])
-        parts["test"] += list(idx[n_train + n_val :])
-    side = images.shape[1]
-    n_classes = int(labels.max()) + 1
-    sel = {k: np.array(v, dtype=int) for k, v in parts.items()}
+    """Stratified 70:20:10-style split of a raster pool: ``stratified_split``
+    over the image indices."""
+    split = stratified_split(range(len(labels)), ratios, seed, label_key=labels.__getitem__)
+    train, val, test = (np.array(part, dtype=int) for part in (split.train, split.val, split.test))
     return SplitArrays(
-        train_x=images[sel["train"]],
-        train_y=labels[sel["train"]],
-        val_x=images[sel["val"]],
-        val_y=labels[sel["val"]],
-        test_x=images[sel["test"]],
-        test_y=labels[sel["test"]],
-        image_side=side,
-        n_classes=n_classes,
+        train_x=images[train],
+        train_y=labels[train],
+        val_x=images[val],
+        val_y=labels[val],
+        test_x=images[test],
+        test_y=labels[test],
+        image_side=images.shape[1],
+        n_classes=int(labels.max()) + 1,
     )
 
 

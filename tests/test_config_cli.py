@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -213,12 +214,19 @@ class TestParseConfig:
             ("synthetic: {n_per_class: 1.5}", "synthetic.n_per_class: expected an integer, got 1.5"),
             ("synthetic: {noise_std: loud}", "synthetic.noise_std: expected a number, got 'loud'"),
             ("synthetic: {bogus: 1}", "synthetic.bogus: unknown key"),
+            ("synthetic: {n_per_class: 0}", "synthetic: n_per_class must be >= 1"),
+            ("synthetic: {image_side: 1}", "synthetic: image_side must be >= 2"),
+            ("synthetic: {noise_std: -1}", "synthetic: noise_std must be >= 0"),
             ("sampler: {tpe: 1}", "expected a mapping at sampler.tpe"),
             ("sampler: {tpe: {n_candidates: 2.0}}", "sampler.tpe.n_candidates: expected an integer, got 2.0"),
             ("sampler: {tpe: {gamma_fraction: x}}", "sampler.tpe.gamma_fraction: expected a number, got 'x'"),
             ("sampler: {tpe: {bogus: 1}}", "sampler.tpe.bogus: unknown key"),
             ("sampler: {tpe: {gamma_fraction: 1.5}}", "sampler.tpe: gamma_fraction must be in (0, 1]"),
             ("sampler: {tpe: {n_startup_trials: 0}}", "sampler.tpe: TPE counts must be positive"),
+            (
+                "data: {manifest: m.csv, ratios: [0.8, 0.2, 0.0]}",
+                "data.ratios: ratios must be three positive numbers",
+            ),
         ],
     )
     def test_section_error_text(self, section, message):
@@ -471,6 +479,25 @@ class TestCliSplit:
         main(["split", str(manifest), "--seed", "5", "--out", str(out_b)])
         for name in ("train.csv", "val.csv", "test.csv", "split_manifest.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("binary", "0b27aa33ac8642b1121024bbe9a2d4e000a1276cffbd29723b7be705776d2290"),
+            ("multiclass", "fa27368ed61e51da5fe24bd04737746823fe2ac15fc2a06cb87431864dce263e"),
+        ],
+    )
+    def test_split_outputs_are_pinned(self, tmp_path, mode, digest):
+        manifest = write_demo_manifest(tmp_path, negatives=9, positives_per_label=5)
+        with open(manifest, "a") as fh:
+            for i, label in enumerate(LABELS):
+                fh.write(f"m{i},images/m{i}.pgm,\"{label}\",{i + 2}\n")
+        out = tmp_path / "splits"
+        assert main(["split", str(manifest), "--seed", "4", "--mode", mode, "--out", str(out)]) == 0
+        h = hashlib.sha256()
+        for name in ("train.csv", "val.csv", "test.csv", "split_manifest.txt"):
+            h.update((out / name).read_bytes())
+        assert h.hexdigest() == digest
 
     def test_split_missing_manifest(self, tmp_path, capsys):
         assert main(["split", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 1

@@ -1,18 +1,21 @@
+import hashlib
 import json
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from studyforge import orchestrator
+from studyforge.augment import write_pgm
 from studyforge.config import (
     ExperimentConfig,
     SamplerSpec,
-    SyntheticConfig,
     dump_config,
     parse_config,
 )
 from studyforge.errors import ValidationError
 from studyforge.journal import read_records, resume_study
+from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.orchestrator import (
     RunPolicy,
     build_surrogate_data,
@@ -22,6 +25,7 @@ from studyforge.orchestrator import (
 )
 from studyforge.pruning import PrunerConfig
 from studyforge.study import SearchSpace, TrialState, log_uniform, uniform
+from studyforge.surrogate import SyntheticSpec, class_template
 
 
 def quadratic_config(tmp_path, *, n_trials=6, sampler=None, policy=None, seed=0):
@@ -45,7 +49,7 @@ def surrogate_config(tmp_path, *, space=None, epochs=2, policy=None, pruner=None
         sampler=SamplerSpec(kind="random"),
         pruner=pruner,
         policy=policy or RunPolicy(n_trials=2),
-        synthetic=SyntheticConfig(n_per_class=30),
+        synthetic=SyntheticSpec(n_per_class=30),
     )
 
 
@@ -350,10 +354,76 @@ class TestBuildSurrogateData:
             space=SearchSpace({"lr": log_uniform(1e-4, 1e-3)}),
             task="multiclass",
             output_dir=str(tmp_path / "out"),
-            synthetic=SyntheticConfig(n_per_class=10),
+            synthetic=SyntheticSpec(n_per_class=10),
         )
         data = build_surrogate_data(config)
         assert data.n_classes == 4
+
+
+MANIFEST_RUN_YAML = """\
+objective: surrogate
+task: {task}
+seed: 1
+epochs: 2
+output_dir: out
+space:
+  lr: {{kind: log-uniform-float, low: 1.0e-4, high: 1.0e-2}}
+sampler: {{kind: random}}
+policy: {{n_trials: 3}}
+data: {{manifest: data/manifest.csv, seed: 2}}
+synthetic: {{image_side: 12}}
+"""
+
+
+def write_pgm_manifest(root):
+    """20x20 single-image studies (12, 8, 6, 5 per label) plus one lateral
+    scan per label whose image file does not exist."""
+    (root / "images").mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    rows = [",".join(MANIFEST_HEADER)]
+    for c, (label, size) in enumerate(zip(LABELS, (12, 8, 6, 5))):
+        template = class_template(c, len(LABELS), 20)
+        for i in range(size):
+            rel = f"images/c{c}_{i}.pgm"
+            write_pgm(root / rel, np.clip(template + rng.normal(0.0, 0.3, (20, 20)), 0.0, 1.0))
+            rows.append(f'c{c}_{i},{rel},"{label}",1')
+        rows.append(f'c{c}_lat,images/lateral_{c}.pgm,"{label}",2')
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+
+
+class TestManifestRun:
+    @pytest.mark.parametrize(
+        "task, class_counts, digest",
+        [
+            (
+                "binary",
+                ([8, 8], [3, 3], [1, 1]),
+                "c33c1eda39529f9ba04c311e4ffa98b0df3dcd4497e15a5bc97364e897f5ad02",
+            ),
+            (
+                "multiclass",
+                ([8, 5, 4, 4], [3, 2, 1, 1], [1, 1, 1, 0]),
+                "174e0f7dceefa17614624a6bf1ce3a37b4ea6344aedf1ea0b97e0f479ae1e431",
+            ),
+        ],
+    )
+    def test_split_and_journal_are_pinned(self, tmp_path, monkeypatch, task, class_counts, digest):
+        write_pgm_manifest(tmp_path / "data")
+        # relative paths: config_hash covers output_dir and data.manifest
+        monkeypatch.chdir(tmp_path)
+        config = parse_config(MANIFEST_RUN_YAML.format(task=task))
+        data = build_surrogate_data(config)
+        n_classes = len(class_counts[0])
+        counts = tuple(
+            np.bincount(y, minlength=n_classes).tolist()
+            for y in (data.train_y, data.val_y, data.test_y)
+        )
+        assert counts == class_counts
+        assert data.n_classes == n_classes
+        assert data.train_x.shape[1:] == (12, 12) and data.image_side == 12
+        result = run_study(config)
+        assert [t.state for t in result.study.trials] == [TrialState.COMPLETE] * 3
+        assert hashlib.sha256(result.journal_path.read_bytes()).hexdigest() == digest
 
 
 class TestConfigHash:

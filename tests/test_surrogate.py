@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -43,8 +44,8 @@ def small_model(seed=0, input_dim=6, hidden=5, n_classes=3, dropout=0.0):
 
 class TestSyntheticDataset:
     def test_zero_noise_repeats_the_class_template(self):
-        spec = SyntheticSpec(n_classes=2, n_per_class=5, image_side=8, noise_std=0.0)
-        images, labels = make_synthetic_dataset(spec)
+        spec = SyntheticSpec(n_per_class=5, image_side=8, noise_std=0.0)
+        images, labels = make_synthetic_dataset(spec, n_classes=2)
         for c in range(2):
             block = images[labels == c]
             assert all(np.array_equal(img, block[0]) for img in block)
@@ -52,8 +53,8 @@ class TestSyntheticDataset:
             assert np.allclose(block[0], expected, atol=1e-12)
 
     def test_four_class_counts_balanced(self):
-        spec = SyntheticSpec(n_classes=4, n_per_class=50, image_side=8)
-        images, labels = make_synthetic_dataset(spec)
+        spec = SyntheticSpec(n_per_class=50, image_side=8)
+        images, labels = make_synthetic_dataset(spec, n_classes=4)
         assert images.shape == (200, 8, 8)
         assert [int(np.sum(labels == c)) for c in range(4)] == [50, 50, 50, 50]
 
@@ -69,7 +70,7 @@ class TestSyntheticDataset:
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
-            SyntheticSpec(n_classes=3)
+            make_synthetic_dataset(SyntheticSpec(), n_classes=3)
         with pytest.raises(ValidationError):
             SyntheticSpec(n_per_class=0)
         with pytest.raises(ValidationError):
@@ -94,6 +95,37 @@ class TestSplitArrays:
         b = split_arrays(images, labels, seed=5)
         assert np.array_equal(a.train_x, b.train_x)
         assert np.array_equal(a.val_y, b.val_y)
+
+    @pytest.mark.parametrize(
+        "labels, seed, digest",
+        [
+            (np.repeat([0, 1], [7, 5]), 0,
+                "c006f6958d46d7853d73992eb72fdf7e868469dbdb080a1c4097e509846d54d5",
+            ),
+            (np.repeat([0, 1, 2, 3], [1, 9, 33, 4]), 3,
+                "621eade69ac52b56891a1f295bbb202c718c49977bf76ce663a6bb1c293e5c80",
+            ),
+            (np.zeros(11, dtype=int), 2,
+                "091d3a6afed93ddb9981755b279fb13f8cb273987a6d653c87f8b860e0316138",
+            ),
+            (np.random.default_rng(7).integers(0, 4, size=50), 11,
+                "140ed42dde001d3cb1d58c2b7c43b05f05796272af51ec79e64ffd8508585347",
+            ),
+            (np.array([2, 0, 2, 1, 0, 2, 2, 1]), 5,
+                "bb536847385dcfe648e91aa8ea1d25f82136aa4b578aa6fd64b88b1eb734c6b1",
+            ),
+        ],
+    )
+    def test_split_is_pinned(self, labels, seed, digest):
+        images = np.arange(len(labels) * 9, dtype=float).reshape(-1, 3, 3)
+        data = split_arrays(images, labels, seed=seed)
+        h = hashlib.sha256()
+        for name in ("train_x", "train_y", "val_x", "val_y", "test_x", "test_y"):
+            arr = getattr(data, name)
+            h.update(f"{name}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        h.update(f"{data.image_side},{data.n_classes}".encode())
+        assert h.hexdigest() == digest
 
 
 class TestSoftmaxCrossEntropy:
