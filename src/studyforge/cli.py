@@ -20,7 +20,7 @@ from .errors import ConfigError, StudyForgeError
 from .journal import read_records, study_from_records
 from .manifest import TASK_CLASSES, load_manifest, select_cohort, write_split
 from .orchestrator import run_study
-from .reporting import write_reports
+from .reporting import write_atomic, write_reports
 
 SEED_ENV = "STUDYFORGE_SEED"
 
@@ -52,7 +52,7 @@ def cmd_run(config_path: str, overrides: list[str]) -> int:
     else:
         payload = {"params": None, "value": None}
     best_path = out_dir / "best.json"
-    best_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_atomic(best_path, json.dumps(payload, sort_keys=True) + "\n")
 
     written = write_reports(result.journal_path, out_dir)
     for path in [result.journal_path, best_path, *written]:

@@ -155,10 +155,14 @@ def build_objective(config: "ExperimentConfig") -> Objective:
 
 
 def config_hash(config: "ExperimentConfig") -> str:
+    """sha256 of the canonical config, where the manifest counts by the
+    sha256 of its bytes rather than by the spelling of its path."""
     from .config import serialize_config
 
-    canonical = json.dumps(serialize_config(config), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    doc = serialize_config(config)
+    if config.data is not None:
+        doc["data"]["manifest"] = hashlib.sha256(Path(config.data.manifest).read_bytes()).hexdigest()
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def run_study(config: "ExperimentConfig", journal_path=None) -> StudyResult:

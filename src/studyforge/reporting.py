@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from pathlib import Path
 
 from .journal import KIND_TRIAL_END, read_records, study_from_records
@@ -179,6 +180,19 @@ def render_f1_csv(f1: list[float], macro_f1: float) -> str:
     return render_csv(["class", "f1"], rows)
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write text beside path, then rename it over path: a crash leaves
+    either the old file or the whole new one, never a half file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_reports(journal_path, out_dir, fmt: str = "csv") -> list[Path]:
     """Regenerate every derived artifact for one journal. Returns paths."""
     if fmt not in ("csv", "md"):
@@ -187,42 +201,21 @@ def write_reports(journal_path, out_dir, fmt: str = "csv") -> list[Path]:
     study = study_from_records(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    render = render_csv if fmt == "csv" else render_markdown
     written = []
 
-    header, rows = trials_table(study)
-    if fmt == "csv":
-        text = render_csv(header, rows)
-        table_path = out_dir / "trials.csv"
-    else:
-        text = render_markdown(header, rows)
-        table_path = out_dir / "trials.md"
-    table_path.write_text(text)
-    written.append(table_path)
+    def emit(name: str, text: str) -> None:
+        path = out_dir / name
+        write_atomic(path, text)
+        written.append(path)
 
+    emit(f"trials.{fmt}", render(*trials_table(study)))
     for name, dist in study.space.entries.items():
-        if not dist.is_discrete:
-            continue
-        s_header, s_rows = choice_summary(study, name)
-        if fmt == "csv":
-            s_text = render_csv(s_header, s_rows)
-            s_path = out_dir / f"summary_{name}.csv"
-        else:
-            s_text = render_markdown(s_header, s_rows)
-            s_path = out_dir / f"summary_{name}.md"
-        s_path.write_text(s_text)
-        written.append(s_path)
-
-    svg_path = out_dir / "history.svg"
-    svg_path.write_text(render_history_svg(study))
-    written.append(svg_path)
-
+        if dist.is_discrete:
+            emit(f"summary_{name}.{fmt}", render(*choice_summary(study, name)))
+    emit("history.svg", render_history_svg(study))
     metrics = best_metrics(records, study)
     if metrics is not None:
-        conf_path = out_dir / "confusion.csv"
-        conf_path.write_text(render_confusion_csv(metrics["confusion"]))
-        written.append(conf_path)
-        f1_path = out_dir / "f1.csv"
-        f1_path.write_text(render_f1_csv(metrics["f1"], metrics["macro_f1"]))
-        written.append(f1_path)
-
+        emit("confusion.csv", render_confusion_csv(metrics["confusion"]))
+        emit("f1.csv", render_f1_csv(metrics["f1"], metrics["macro_f1"]))
     return written

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .study import (
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,9 @@ class ParzenEstimator:
     Lives entirely in its internal coordinate: natural-log space when
     is_log (domain and centers are then log-transformed). The density is
     renormalized per component so the mixture integrates to 1 over
-    [low, high].
+    [low, high]. The per-component arithmetic runs over whole arrays in the
+    order a per-component scalar loop would use, so every float equals that
+    loop's bit for bit; erf is math.erf, as numpy has no erf of libm's bits.
     """
 
     centers: np.ndarray
@@ -68,24 +67,25 @@ class ParzenEstimator:
     is_log: bool = False
     # per-component log of the truncation mass Phi(beta)-Phi(alpha)
     _log_trunc_mass: np.ndarray = field(init=False, repr=False)
+    # per-component log(w) - log(b) - log(sqrt(2 pi)): the x-free log-density
+    _log_scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=float)
         self.bandwidths = np.asarray(self.bandwidths, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.bandwidths <= 0) or np.any(self.weights <= 0):
+        if (self.bandwidths <= 0).any() or (self.weights <= 0).any():
             raise ValidationError("bandwidths and weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValidationError("weights must sum to 1")
-        if np.any(self.centers < self.low) or np.any(self.centers > self.high):
+        if (self.centers < self.low).any() or (self.centers > self.high).any():
             raise ValidationError("centers must lie within the domain")
-        mass = np.array(
-            [
-                _norm_cdf((self.high - c) / b) - _norm_cdf((self.low - c) / b)
-                for c, b in zip(self.centers, self.bandwidths)
-            ]
-        )
-        self._log_trunc_mass = np.log(mass)
+        # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) at beta (first n) and alpha
+        c, b, n = self.centers, self.bandwidths, len(self.centers)
+        x = np.concatenate(((self.high - c) / b, (self.low - c) / b)) / _SQRT2
+        cdf = 0.5 * (1.0 + np.fromiter(map(math.erf, x.tolist()), float, x.size))
+        self._log_trunc_mass = np.log(cdf[:n] - cdf[n:])
+        self._log_scale = np.log(self.weights) - np.log(b) - _LOG_SQRT_2PI
 
 
 def fit_parzen(
@@ -108,32 +108,29 @@ def fit_parzen(
     """
     if not (math.isfinite(low) and math.isfinite(high) and low < high):
         raise ValidationError(f"invalid domain [{low}, {high}]")
-    values = [float(v) for v in values]
-    if any(not low <= v <= high for v in values):
+    values = np.fromiter(values, float)
+    if not ((values >= low) & (values <= high)).all():
         raise ValidationError("observation outside domain")
     if is_log:
         if low <= 0:
             raise ValidationError("log domain requires low > 0")
-        values = [math.log(v) for v in values]
+        # math.log, not np.log: only libm's log is the scalar form's bits
+        values = np.fromiter(map(math.log, values.tolist()), float, values.size)
         low, high = math.log(low), math.log(high)
 
     width = high - low
-    n = len(values)
-    centers = [low + width / 2.0]
-    bandwidths = [width]
+    n = values.size
+    centers = np.concatenate(([low + width / 2.0], values))
+    bandwidths = np.full(n + 1, width)
     if n == 1:
-        obs_bw = width / 2.0
+        bandwidths[1:] = width / 2.0
     elif n > 1:
         sd = float(np.std(values, ddof=1))
-        obs_bw = max(1.06 * sd * n ** (-0.2), width / min(100.0, n + 1.0))
-    for v in values:
-        centers.append(v)
-        bandwidths.append(obs_bw)
-    weights = np.full(n + 1, 1.0 / (n + 1))
+        bandwidths[1:] = max(1.06 * sd * n ** (-0.2), width / min(100.0, n + 1.0))
     return ParzenEstimator(
-        centers=np.array(centers),
-        bandwidths=np.array(bandwidths),
-        weights=weights,
+        centers=centers,
+        bandwidths=bandwidths,
+        weights=np.full(n + 1, 1.0 / (n + 1)),
         low=low,
         high=high,
         is_log=is_log,
@@ -147,19 +144,19 @@ def parzen_logpdf(est: ParzenEstimator, x):
     [est.low, est.high]; accepts a scalar or an array.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < est.low) or np.any(arr > est.high):
+    if (arr < est.low).any() or (arr > est.high).any():
         raise ValidationError("x outside estimator domain")
-    z = (arr[..., None] - est.centers) / est.bandwidths
-    comp = (
-        np.log(est.weights)
-        - np.log(est.bandwidths)
-        - _LOG_SQRT_2PI
-        - 0.5 * z * z
-        - est._log_trunc_mass
-    )
+    # log_scale - 0.5 * z * z - log_trunc_mass, in place, in that order
+    z = arr[..., None] - est.centers
+    z /= est.bandwidths
+    comp = 0.5 * z
+    comp *= z
+    np.subtract(est._log_scale, comp, out=comp)
+    comp -= est._log_trunc_mass
     # logsumexp over the component axis
     m = comp.max(axis=-1)
-    out = m + np.log(np.exp(comp - m[..., None]).sum(axis=-1))
+    comp -= m[..., None]
+    out = m + np.log(np.exp(comp, out=comp).sum(axis=-1))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -224,13 +221,20 @@ def grid_enumerate(space: SearchSpace, resolution: int) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
-def trial_observations(study: Study) -> list[tuple[dict, float]]:
+class Observations(list):
+    """(params, value) pairs in trial order, plus how many are complete."""
+
+    n_complete = 0
+
+
+def trial_observations(study: Study) -> Observations:
     """History TPE learns from: complete trials at their final value,
     pruned trials at their last intermediate; failed trials carry nothing."""
-    history = []
+    history = Observations()
     for t in study.trials:
         if t.state is TrialState.COMPLETE:
             history.append((t.params, t.final_value))
+            history.n_complete += 1
         elif t.state is TrialState.PRUNED and t.intermediates:
             history.append((t.params, t.intermediates[-1][1]))
     return history
@@ -250,15 +254,10 @@ def tpe_split_observations(
     if n == 0:
         raise ValidationError("history must be non-empty")
     n_good = min(cfg.gamma_cap, max(1, math.ceil(cfg.gamma_fraction * n)))
-    order = sorted(
-        range(n),
-        key=lambda i: history[i][1],
-        reverse=(direction == MAXIMIZE),
-    )
-    good_idx = sorted(order[:n_good])
-    good_set = set(good_idx)
-    good = [history[i] for i in good_idx]
-    bad = [history[i] for i in range(n) if i not in good_set]
+    order = sorted(range(n), key=lambda i: history[i][1], reverse=(direction == MAXIMIZE))
+    good_set = set(order[:n_good])
+    good = [h for i, h in enumerate(history) if i in good_set]
+    bad = [h for i, h in enumerate(history) if i not in good_set]
     return good, bad
 
 
@@ -266,6 +265,14 @@ def _categorical_weights(values, choices, prior_weight: float) -> np.ndarray:
     counts = np.array([sum(1 for v in values if v == c and type(v) is type(c)) for c in choices], dtype=float)
     w = counts + prior_weight / len(choices)
     return w / w.sum()
+
+
+def _columns(observations, names: list[str]) -> list[tuple]:
+    """Each parameter's values over the observations, in one pass."""
+    rows = map(itemgetter(*names), (p for p, _ in observations))
+    if len(names) == 1:
+        return [tuple(rows)]
+    return list(zip(*rows)) or [()] * len(names)
 
 
 def tpe_suggest(
@@ -276,16 +283,15 @@ def tpe_suggest(
     """Propose one assignment; random until enough complete trials exist."""
     if rng is None:
         rng = study.rng_for(len(study.trials), lane=0)
-    n_complete = len(study.completed_trials())
-    if n_complete < cfg.n_startup_trials:
+    history = trial_observations(study)
+    if history.n_complete < cfg.n_startup_trials:
         return suggest_random(study.space, rng)
 
-    history = trial_observations(study)
     good, bad = tpe_split_observations(history, study.direction, cfg)
+    names = study.space.names
     params = {}
-    for name, dist in study.space.entries.items():
-        good_vals = [p[name] for p, _ in good]
-        bad_vals = [p[name] for p, _ in bad]
+    for name, good_vals, bad_vals in zip(names, _columns(good, names), _columns(bad, names)):
+        dist = study.space[name]
         if dist.is_discrete:
             w_good = _categorical_weights(good_vals, dist.choices, cfg.prior_weight)
             w_bad = _categorical_weights(bad_vals, dist.choices, cfg.prior_weight)

@@ -192,9 +192,6 @@ class TrialRecord:
     final_value: float | None = None
     intermediates: list[tuple[int, float]] = field(default_factory=list)
 
-    def last_intermediate(self) -> tuple[int, float] | None:
-        return self.intermediates[-1] if self.intermediates else None
-
     def intermediate_at(self, step: int) -> float | None:
         for s, v in self.intermediates:
             if s == step:

@@ -338,6 +338,25 @@ class TestCliRun:
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob, name
 
+    def test_failed_best_write_keeps_previous_best(self, tmp_path, monkeypatch, capsys):
+        from studyforge import reporting
+
+        config_path, out = write_quadratic_config(tmp_path)
+        assert main(["run", str(config_path)]) == 0
+        before = (out / "best.json").read_bytes()
+        real_replace = reporting.os.replace
+
+        def refuse_best(src, dst):
+            if str(dst).endswith("best.json"):
+                raise OSError("injected: rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(reporting.os, "replace", refuse_best)
+        assert main(["run", str(config_path), "--set", "seed=6"]) == 1
+        assert "injected" in capsys.readouterr().err
+        assert (out / "best.json").read_bytes() == before
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         config_path, out = write_quadratic_config(tmp_path)
         monkeypatch.setenv("STUDYFORGE_SEED", "77")

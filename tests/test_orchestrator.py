@@ -398,12 +398,12 @@ class TestManifestRun:
             (
                 "binary",
                 ([8, 8], [3, 3], [1, 1]),
-                "c33c1eda39529f9ba04c311e4ffa98b0df3dcd4497e15a5bc97364e897f5ad02",
+                "4791e57044723ae600004e569180a464dac2d0b9c64f966a8277c7b512645e9d",
             ),
             (
                 "multiclass",
                 ([8, 5, 4, 4], [3, 2, 1, 1], [1, 1, 1, 0]),
-                "174e0f7dceefa17614624a6bf1ce3a37b4ea6344aedf1ea0b97e0f479ae1e431",
+                "0c9f5cc7a6181797fbb0f9ccafc631fce0260cb6bc4f931f7fa2a162902c8657",
             ),
         ],
     )
@@ -431,6 +431,25 @@ class TestConfigHash:
         a = quadratic_config(tmp_path)
         b = quadratic_config(tmp_path)
         assert config_hash(a) == config_hash(b)
+
+    def test_manifest_counts_by_its_bytes_not_its_path(self, tmp_path, monkeypatch):
+        write_pgm_manifest(tmp_path / "data")
+        monkeypatch.chdir(tmp_path)
+        yaml_text = MANIFEST_RUN_YAML.format(task="binary")
+        plain = parse_config(yaml_text)
+        dotted = parse_config(yaml_text.replace("data/manifest.csv", "./data/manifest.csv"))
+        assert plain.data.manifest != dotted.data.manifest
+        assert config_hash(plain) == config_hash(dotted)
+
+    def test_two_cohorts_at_one_path_hash_apart(self, tmp_path, monkeypatch):
+        write_pgm_manifest(tmp_path / "data")
+        monkeypatch.chdir(tmp_path)
+        config = parse_config(MANIFEST_RUN_YAML.format(task="binary"))
+        manifest = tmp_path / "data" / "manifest.csv"
+        before = config_hash(config)
+        rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(rows[:-3]) + "\n")
+        assert config_hash(config) != before
 
     def test_seed_changes_the_hash(self, tmp_path):
         assert config_hash(quadratic_config(tmp_path, seed=0)) != config_hash(

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from studyforge import reporting
 from studyforge.journal import (
     KIND_INTERMEDIATE,
     KIND_TRIAL_END,
@@ -18,6 +19,7 @@ from studyforge.reporting import (
     render_history_svg,
     render_markdown,
     trials_table,
+    write_atomic,
     write_reports,
 )
 from studyforge.study import SearchSpace, boolean, int_categorical, uniform
@@ -261,3 +263,76 @@ class TestWriteReports:
         journal = journal_with_trials(tmp_path)
         written = write_reports(journal, tmp_path / "out")
         assert all(p.name != "confusion.csv" for p in written)
+
+
+class _HalfWrite:
+    """Stands in for open(): the file's write puts half the text on disk,
+    flushes it, then raises, as a crash or a full disk would."""
+
+    def __init__(self, path, mode="r", fail_on=None):
+        self._file = open(path, mode)
+        self._fail = fail_on is None or fail_on in str(path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def write(self, text):
+        if not self._fail:
+            return self._file.write(text)
+        self._file.write(text[: len(text) // 2])
+        self._file.flush()
+        raise OSError("injected: disk full")
+
+
+class TestAtomicOutputs:
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "trials.csv"
+        write_atomic(path, "old\n")
+        monkeypatch.setattr(reporting, "open", _HalfWrite, raising=False)
+        with pytest.raises(OSError, match="injected"):
+            write_atomic(path, "new row\n" * 100)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
+
+    def test_failed_rename_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "trials.csv"
+        write_atomic(path, "old\n")
+
+        def refuse(src, dst):
+            raise OSError("injected: rename refused")
+
+        monkeypatch.setattr(reporting.os, "replace", refuse)
+        with pytest.raises(OSError, match="injected"):
+            write_atomic(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
+
+    def test_write_is_byte_identical_to_write_text(self, tmp_path):
+        text = "a,b\r\nc\u00e9\n" * 3
+        write_atomic(tmp_path / "atomic", text)
+        (tmp_path / "plain").write_text(text)
+        assert (tmp_path / "atomic").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    def test_report_cut_mid_file_leaves_whole_files(self, tmp_path, monkeypatch):
+        journal = journal_with_trials(tmp_path)
+        new = {p.name: p.read_bytes() for p in write_reports(journal, tmp_path / "new")}
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in new:
+            write_atomic(out / name, f"old {name}\n")
+        monkeypatch.setattr(
+            reporting,
+            "open",
+            lambda path, mode="r": _HalfWrite(path, mode, fail_on="history.svg"),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="injected"):
+            write_reports(journal, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(new)
+        # files before the cut are wholly new, the cut one wholly old
+        assert (out / "trials.csv").read_bytes() == new["trials.csv"]
+        assert (out / "summary_hflip.csv").read_bytes() == new["summary_hflip.csv"]
+        assert (out / "history.svg").read_text() == "old history.svg\n"

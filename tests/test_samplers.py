@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import truncnorm
 from studyforge.errors import ExhaustedSearchError, ValidationError
 from studyforge.samplers import (
     GridSampler,
+    ParzenEstimator,
     RandomSampler,
     TpeConfig,
     TpeSampler,
@@ -28,6 +30,7 @@ from studyforge.study import (
     SearchSpace,
     TrialState,
     boolean,
+    choice,
     int_categorical,
     log_uniform,
     uniform,
@@ -381,3 +384,139 @@ def test_all_samplers_contained_on_random_spaces(space, seed):
     for _ in range(12):
         complete_trial(study, suggest_random(space, rng), float(rng.uniform()))
     space.validate_assignment(tpe_suggest(study, rng=rng))
+
+
+def _norm_cdf_reference(x: float) -> float:
+    """Standard-normal CDF of one scalar, as a per-component loop computes it."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _scalar_log_trunc_mass(est) -> np.ndarray:
+    mass = np.array(
+        [
+            _norm_cdf_reference((est.high - c) / b) - _norm_cdf_reference((est.low - c) / b)
+            for c, b in zip(est.centers, est.bandwidths)
+        ]
+    )
+    return np.log(mass)
+
+
+_domains = st.tuples(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
+)
+
+
+class TestParzenBitIdentity:
+    """The whole-array Parzen arithmetic must equal the scalar form bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        domain=_domains,
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60),
+        is_log=st.booleans(),
+    )
+    def test_fit_truncation_mass_matches_scalar_reference(self, domain, fractions, is_log):
+        low, width = domain
+        if is_log:
+            low = abs(low) + 1e-6
+        high = low + width
+        assume(low < high)
+        values = [min(max(low + f * (high - low), low), high) for f in fractions]
+        est = fit_parzen(values, low, high, is_log=is_log)
+        assert est._log_trunc_mass.tobytes() == _scalar_log_trunc_mass(est).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        domain=_domains,
+        components=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=-12.0, max_value=3.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_tail_components_match_scalar_reference(self, domain, components):
+        # bandwidths from 1e-12 to 1e3 widths put the domain edges up to
+        # 1e12 sigmas from a center, deep in the tails where erf saturates
+        low, width = domain
+        high = low + width
+        assume(low < high)
+        centers = [min(max(low + f * width, low), high) for f, _ in components]
+        bandwidths = [width * 10.0**e for _, e in components]
+        weights = np.full(len(centers), 1.0 / len(centers))
+        assume(abs(weights.sum() - 1.0) <= 1e-12)
+        est = ParzenEstimator(centers, bandwidths, weights, low, high)
+        assert est._log_trunc_mass.tobytes() == _scalar_log_trunc_mass(est).tobytes()
+
+
+def _mixed_space():
+    return SearchSpace(
+        {
+            "x": uniform(-2.0, 3.0),
+            "lr": log_uniform(1e-5, 1e-1),
+            "batch": int_categorical([8, 16, 32, 64]),
+            "act": choice(["relu", "tanh", "gelu"]),
+            "flip": boolean(),
+        }
+    )
+
+
+def _mixed_history_study(k: int):
+    """A seeded history with complete, pruned (with and without
+    intermediates), failed and still-running trials."""
+    space = _mixed_space()
+    study = make_study(space, direction=MINIMIZE if k % 2 else MAXIMIZE, seed=k)
+    rng = np.random.default_rng([k, 1])
+    for _ in range(3 + (k * 7) % 70):
+        params = suggest_random(space, rng)
+        kind = int(rng.integers(8))
+        steps = [(s, float(rng.normal())) for s in range(int(rng.integers(4)))]
+        if kind == 0:
+            t = running_trial(study, params, intermediates=steps)
+            study.tell(t.trial_id, state=TrialState.FAILED)
+        elif kind in (1, 2):
+            t = running_trial(study, params, intermediates=steps)
+            study.tell(t.trial_id, state=TrialState.PRUNED)
+        elif kind == 3:
+            running_trial(study, params, intermediates=steps)
+        else:
+            complete_trial(study, params, float(rng.normal()), intermediates=steps)
+    return study
+
+
+class TestTpePinned:
+    """sha256 pins of what the per-component scalar Parzen code produced;
+    the whole-array code must reproduce every bit of it."""
+
+    def test_two_hundred_suggestions_are_pinned(self):
+        h = hashlib.sha256()
+        for k in range(200):
+            study = _mixed_history_study(k)
+            cfg = TpeConfig(n_startup_trials=1 + k % 12, n_candidates=8 + k % 24)
+            params = tpe_suggest(study, cfg, rng=np.random.default_rng([k, 2]))
+            study.space.validate_assignment(params)
+            h.update(repr(sorted(params.items())).encode())
+        assert h.hexdigest() == (
+            "3491493a12f76f7a8b409d5237be4fbf602d230d740fcd660227f3312540d59c"
+        )
+
+    def test_fit_and_logpdf_floats_are_pinned(self):
+        h = hashlib.sha256()
+        rng = np.random.default_rng(20)
+        for k in range(120):
+            is_log = k % 3 == 0
+            low = float(rng.uniform(1e-4, 1.0)) if is_log else float(rng.uniform(-5.0, 5.0))
+            high = low * float(rng.uniform(2.0, 1e4)) if is_log else low + float(rng.uniform(1e-3, 10.0))
+            values = [float(v) for v in rng.uniform(low, high, size=int(rng.integers(0, 80)))]
+            est = fit_parzen(values, low, high, is_log=is_log)
+            xs = rng.uniform(est.low, est.high, size=24)
+            for arr in (est.centers, est.bandwidths, est.weights, est._log_trunc_mass):
+                h.update(np.asarray(arr, dtype="<f8").tobytes())
+            h.update(np.asarray(parzen_logpdf(est, xs), dtype="<f8").tobytes())
+            h.update(repr(parzen_logpdf(est, float(xs[0]))).encode())
+        assert h.hexdigest() == (
+            "8169e40760722e74afa74eaa574389586cef866e29f6b4ed0d500ae1a3099fb6"
+        )
