@@ -36,6 +36,15 @@ class AffineRanges:
     allow_vflip: bool = True
 
     def __post_init__(self):
+        envelopes = (
+            self.max_rotation_deg,
+            self.max_scale_frac,
+            self.max_shear_frac,
+            self.max_translate_frac,
+        )
+        # a draw spans [-x, x], so its width 2x must be finite too; NaN fails here
+        if not all(math.isfinite(2.0 * x) for x in envelopes):
+            raise ValidationError("envelopes must be finite, with a finite width")
         if self.max_rotation_deg < 0 or self.max_shear_frac < 0:
             raise ValidationError("rotation/shear envelopes must be >= 0")
         if not 0.0 <= self.max_scale_frac < 1.0:
@@ -56,6 +65,8 @@ class AffineRanges:
 
 @dataclass(frozen=True)
 class AffineParams:
+    """One transform, or n of them when every field is a length-n array."""
+
     rotation_deg: float = 0.0
     scale: float = 1.0
     shear_frac: float = 0.0
@@ -65,25 +76,47 @@ class AffineParams:
     vflip: bool = False
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if len({np.shape(v) for v in vars(self).values()}) > 1:
+            raise ValidationError("fields must be all scalars or all length-n arrays")
+        if np.any(np.asarray(self.scale) <= 0):
             raise ValidationError("scale must be positive")
 
 
-def sample_affine_params(ranges: AffineRanges, rng: np.random.Generator) -> AffineParams:
-    """Uniform draws within the envelopes; flips are fair coin tosses."""
+def sample_affine_params(
+    ranges: AffineRanges, rng: np.random.Generator, size: int | None = None
+) -> AffineParams:
+    """Uniform draws within the envelopes; flips are fair coin tosses.
+
+    ``size=n`` gives length-n array fields, as numpy's ``size=`` does. The
+    stream order is per image either way: five uniforms, then one
+    ``integers(2)`` per allowed flip, so n images draw exactly what n
+    scalar calls would.
+    """
+    n = 1 if size is None else size
+    u = np.empty((n, 5))
+    coins = np.zeros((n, 2), dtype=bool)  # hflip, vflip
+    allowed = [ranges.allow_hflip, ranges.allow_vflip]
+    if any(allowed):
+        # scalar integers(2) calls: a size=k call draws the same, slower
+        draw, toss, k = rng.random, rng.integers, sum(allowed)
+        tosses = []
+        for row in u:
+            draw(out=row)
+            for _ in range(k):
+                tosses.append(toss(2))
+        coins[:, allowed] = np.array(tosses, dtype=bool).reshape(n, k)
+    else:  # no 32-bit draws in between: the uniforms are one run of the stream
+        rng.random(out=u)
     r = ranges.max_rotation_deg
     s = ranges.max_scale_frac
     h = ranges.max_shear_frac
     t = ranges.max_translate_frac
-    return AffineParams(
-        rotation_deg=float(rng.uniform(-r, r)),
-        scale=float(rng.uniform(1.0 - s, 1.0 + s)),
-        shear_frac=float(rng.uniform(-h, h)),
-        translate_x_frac=float(rng.uniform(-t, t)),
-        translate_y_frac=float(rng.uniform(-t, t)),
-        hflip=bool(rng.integers(2)) if ranges.allow_hflip else False,
-        vflip=bool(rng.integers(2)) if ranges.allow_vflip else False,
-    )
+    low = np.array([-r, 1.0 - s, -h, -t, -t])
+    high = np.array([r, 1.0 + s, h, t, t])
+    values = low + (high - low) * u  # Generator.uniform's own formula
+    if size is None:
+        return AffineParams(*values[0].tolist(), *coins[0].tolist())
+    return AffineParams(*values.T, *coins.T)
 
 
 def _validate_image(img: np.ndarray, ndims=(2,)) -> np.ndarray:
@@ -96,38 +129,47 @@ def _validate_image(img: np.ndarray, ndims=(2,)) -> np.ndarray:
     return arr
 
 
+def _stack2x2(a, b, c, d) -> np.ndarray:
+    """(n, 2, 2) matrices [[a, b], [c, d]] from length-n (or scalar) entries."""
+    return np.stack(np.broadcast_arrays(a, b, c, d), axis=-1).reshape(-1, 2, 2)
+
+
 def affine_matrix(p: AffineParams, width: int, height: int) -> np.ndarray:
     """Output-to-input mapping (2x3) for flip∘translate∘rotate∘scale∘shear.
 
     The composition pivots on the image center in pixel-center coordinates;
-    translation offsets are fractions of (width, height).
+    translation offsets are fractions of (width, height). Length-n array
+    fields give (n, 2, 3), one matrix per image, bit-identical to n scalar
+    calls: a scalar is the n = 1 case of the same stacked 2x2 products.
     """
     if width < 1 or height < 1:
         raise ValidationError("dimensions must be positive")
-    theta = math.radians(p.rotation_deg)
-    rot = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    scalar = np.ndim(p.rotation_deg) == 0
+    deg, scale, shear, tx, ty = (
+        np.asarray(v, dtype=float).reshape(-1)
+        for v in (p.rotation_deg, p.scale, p.shear_frac, p.translate_x_frac, p.translate_y_frac)
     )
-    scale = np.array([[p.scale, 0.0], [0.0, p.scale]])
-    shear = np.array([[1.0, p.shear_frac], [0.0, 1.0]])
-    flip = np.array(
-        [[-1.0 if p.hflip else 1.0, 0.0], [0.0, -1.0 if p.vflip else 1.0]]
-    )
-    linear = flip @ rot @ scale @ shear
-    det = linear[0, 0] * linear[1, 1] - linear[0, 1] * linear[1, 0]
-    if abs(det) < 1e-12:
+    # math.radians is x * (pi / 180); math.cos/sin keep the libm results
+    theta = (deg * (math.pi / 180.0)).tolist()
+    cos = np.array(list(map(math.cos, theta)))
+    sin = np.array(list(map(math.sin, theta)))
+    fx = np.where(p.hflip, -1.0, 1.0)
+    fy = np.where(p.vflip, -1.0, 1.0)
+    rot = _stack2x2(cos, -sin, sin, cos)
+    flip = _stack2x2(fx, 0.0, 0.0, fy)
+    linear = flip @ rot @ _stack2x2(scale, 0.0, 0.0, scale) @ _stack2x2(1.0, shear, 0.0, 1.0)
+    l00, l01, l10, l11 = linear.reshape(-1, 4).T
+    det = l00 * l11 - l01 * l10
+    if np.any(np.abs(det) < 1e-12):
         raise ValidationError("singular affine transform (scale ~ 0)")
-    inv = np.array(
-        [[linear[1, 1], -linear[0, 1]], [-linear[1, 0], linear[0, 0]]]
-    ) / det
+    inv = _stack2x2(l11, -l01, -l10, l00) / det[:, None, None]
 
-    offset = flip @ np.array(
-        [p.translate_x_frac * width, p.translate_y_frac * height]
-    )
+    offset = flip @ np.stack([tx * width, ty * height], axis=-1)[..., None]
     center = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
     # src = inv @ (dst - center - offset) + center
-    translation = center - inv @ (center + offset)
-    return np.hstack([inv, translation[:, None]])
+    translation = center - (inv @ (center + offset[..., 0])[..., None])[..., 0]
+    m = np.concatenate([inv, translation[..., None]], axis=-1)
+    return m[0] if scalar else m
 
 
 def apply_affine(img: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -202,14 +244,6 @@ def resize_to(img: np.ndarray, side: int = 224) -> np.ndarray:
         sx = np.tile(grid * (w - 1), (side, 1))
         sy = np.tile((grid * (h - 1))[:, None], (1, side))
     return _bilinear_gather(arr[None], sx[None], sy[None])[0]
-
-
-def augment_image(
-    img: np.ndarray, ranges: AffineRanges, rng: np.random.Generator
-) -> np.ndarray:
-    params = sample_affine_params(ranges, rng)
-    h, w = np.asarray(img).shape
-    return apply_affine(img, affine_matrix(params, w, h))
 
 
 # --- PGM ("P5") ingestion: 8-bit, or 16-bit big-endian ---------------------

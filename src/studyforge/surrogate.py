@@ -12,7 +12,7 @@ live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,13 +195,15 @@ def mlp_forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
+    acts: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Returns (logits, dropout mask or None).
 
     Train mode applies inverted dropout: units kept with probability 1-p
     and scaled by 1/(1-p); eval mode is deterministic with no scaling. A
     caller-supplied mask is honored (needed to hold it fixed for gradient
-    checks).
+    checks). A dict passed as ``acts`` receives the activations that
+    ``mlp_backward`` needs, so it need not run the forward pass again.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.w1.shape[0]:
@@ -221,6 +223,8 @@ def mlp_forward(
         mask = None if not train else np.ones_like(a1)
         hidden = a1
     logits = hidden @ model.w2 + model.b2
+    if acts is not None:
+        acts.update(z1=z1, hidden=hidden, logits=logits)
     return logits, mask
 
 
@@ -229,37 +233,50 @@ def mlp_backward(
     batch: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray | None,
+    acts: dict | None = None,
+    out: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of mean cross-entropy with the dropout mask fixed."""
+    """Exact gradients of mean cross-entropy with the dropout mask fixed.
+
+    ``acts`` from the ``mlp_forward`` call on the same batch and mask skips
+    the forward pass; without it the pass runs here. ``out`` (arrays named
+    and shaped like ``model.params()``) receives the gradients in place.
+    """
     x = np.asarray(batch, dtype=float)
     y = np.asarray(labels, dtype=int)
     n = x.shape[0]
     keep = 1.0 - model.dropout_rate
-    z1 = x @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    if mask is not None and model.dropout_rate > 0.0:
-        hidden = a1 * mask / keep
-    else:
-        hidden = a1
-    logits = hidden @ model.w2 + model.b2
+    if acts is None:
+        acts = {}
+        mlp_forward(model, x, train=mask is not None, mask=mask, acts=acts)
 
-    probs = softmax(logits)
+    probs = softmax(acts["logits"])
     probs[np.arange(n), y] -= 1.0
     d_logits = probs / n
 
-    grads = {
-        "w2": hidden.T @ d_logits,
-        "b2": d_logits.sum(axis=0),
-    }
+    grads = out if out is not None else {k: np.empty_like(p) for k, p in model.params().items()}
+    np.matmul(acts["hidden"].T, d_logits, out=grads["w2"])
+    d_logits.sum(axis=0, out=grads["b2"])
     d_hidden = d_logits @ model.w2.T
     if mask is not None and model.dropout_rate > 0.0:
         d_a1 = d_hidden * mask / keep
     else:
         d_a1 = d_hidden
-    d_z1 = d_a1 * (z1 > 0.0)
-    grads["w1"] = x.T @ d_z1
-    grads["b1"] = d_z1.sum(axis=0)
+    d_z1 = d_a1 * (acts["z1"] > 0.0)
+    np.matmul(x.T, d_z1, out=grads["w1"])
+    d_z1.sum(axis=0, out=grads["b1"])
     return grads
+
+
+def _flat_copy(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The arrays copied into one flat float64 buffer, and views of it
+    named and shaped like them."""
+    flat = np.concatenate([np.ravel(a) for a in arrays.values()])
+    views, start = {}, 0
+    for name, a in arrays.items():
+        views[name] = flat[start : start + a.size].reshape(a.shape)
+        start += a.size
+    return flat, views
 
 
 # --- Adam -------------------------------------------------------------------
@@ -288,7 +305,12 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """In-place bias-corrected Adam update; raises on non-finite gradients."""
+    """In-place bias-corrected Adam update; raises on non-finite gradients.
+
+    Each array, and its moments, is updated in place by whole-array
+    operations in the order of the textbook formulas, so one flat buffer
+    (as the trainer keeps) takes one update per step.
+    """
     if lr <= 0:
         raise ValidationError("lr must be positive")
     for g in grads.values():
@@ -296,15 +318,27 @@ def adam_step(
             raise DivergenceError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
     for k, p in params.items():
-        g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v = grads[k], state.m[k], state.v[k]
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        m += (1.0 - b1) * g
+        # v = b2 * v + (1 - b2) * g * g
+        v *= b2
+        step = (1.0 - b2) * g
+        step *= g
+        v += step
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=step)
+        step *= lr
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        p -= step
 
 
 # --- training loop ----------------------------------------------------------
@@ -391,7 +425,13 @@ def train_and_evaluate(
     side = data.image_side
     input_dim = side * side
     model = init_model(input_dim, data.n_classes, float(hp["dropout"]), rng)
-    state = AdamState.for_params(model.params())
+    # weights, gradients and Adam's moments each live in one flat buffer,
+    # so a minibatch ends in one Adam update over all four arrays
+    weights, views = _flat_copy(model.params())
+    model = replace(model, **views)
+    grads, grad_views = _flat_copy(views)
+    state = AdamState.for_params({"all": weights})
+    acts: dict = {}
     ranges = AffineRanges(
         max_rotation_deg=float(hp["rotation"]),
         max_scale_frac=float(hp["scale"]),
@@ -410,10 +450,9 @@ def train_and_evaluate(
         order = rng.permutation(n_train)
         pool = data.train_x[order]
         if augment:
-            # per-image draws in epoch order, then one batched resample
-            mats = np.empty((n_train, 2, 3))
-            for j in range(n_train):
-                mats[j] = affine_matrix(sample_affine_params(ranges, rng), side, side)
+            # the epoch's draws in per-image stream order, its matrices in
+            # one batched pass, then one batched resample
+            mats = affine_matrix(sample_affine_params(ranges, rng, n_train), side, side)
             pool = apply_affine(pool, mats)
         batch_pool = pool.reshape(n_train, -1)
         labels_pool = data.train_y[order]
@@ -421,12 +460,12 @@ def train_and_evaluate(
         for start in range(0, n_train, hp["batch_size"]):
             xb = batch_pool[start : start + hp["batch_size"]]
             yb = labels_pool[start : start + hp["batch_size"]]
-            logits, mask = mlp_forward(model, xb, train=True, rng=rng)
+            logits, mask = mlp_forward(model, xb, train=True, rng=rng, acts=acts)
             loss = batch_cross_entropy(logits, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = mlp_backward(model, xb, yb, mask)
-            adam_step(model.params(), grads, state, float(hp["lr"]))
+            mlp_backward(model, xb, yb, mask, acts=acts, out=grad_views)
+            adam_step({"all": weights}, {"all": grads}, state, float(hp["lr"]))
 
         preds = _evaluate(model, val_flat)
         acc = float(np.mean(preds == data.val_y))

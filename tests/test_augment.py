@@ -11,7 +11,6 @@ from studyforge.augment import (
     AffineRanges,
     affine_matrix,
     apply_affine,
-    augment_image,
     read_pgm,
     resize_to,
     sample_affine_params,
@@ -176,10 +175,13 @@ class TestApplyAffine:
             apply_affine(np.ones(4), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
     def test_pipeline_deterministic(self):
-        img = disk_image(32)
-        a = augment_image(img, AffineRanges(), np.random.default_rng(5))
-        b = augment_image(img, AffineRanges(), np.random.default_rng(5))
-        assert np.array_equal(a, b)
+        stack = np.stack([disk_image(32)] * 4)
+
+        def epoch(seed):
+            params = sample_affine_params(AffineRanges(), np.random.default_rng(seed), 4)
+            return apply_affine(stack, affine_matrix(params, 32, 32))
+
+        assert np.array_equal(epoch(5), epoch(5))
 
     @pytest.mark.parametrize("shift", [-17.5, -13.25, 12.5, 20.75])
     def test_far_out_samples_read_zero(self, shift):
@@ -391,8 +393,140 @@ class TestPgm:
 )
 def test_augment_preserves_intensity_bounds(seed, h, w):
     rng = np.random.default_rng(seed)
-    img = rng.random((h, w))
-    out = augment_image(img, AffineRanges(), rng)
-    assert out.shape == (h, w)
+    stack = rng.random((3, h, w))
+    out = apply_affine(stack, affine_matrix(sample_affine_params(AffineRanges(), rng, 3), w, h))
+    assert out.shape == (3, h, w)
     assert out.min() >= -1e-12
-    assert out.max() <= img.max() + 1e-12
+    assert np.all(out.max(axis=(1, 2)) <= stack.max(axis=(1, 2)) + 1e-12)
+
+
+# --- one epoch of draws and matrices, pinned on the per-image form ---------
+
+EPOCH_RANGES = dict(max_rotation_deg=10.0, max_scale_frac=0.2, max_shear_frac=0.2, max_translate_frac=0.3)
+
+
+def epoch_rng(pending: bool) -> np.random.Generator:
+    rng = np.random.default_rng(17)
+    if pending:
+        rng.permutation(84)  # leaves half of a 64-bit draw for the next 32-bit draw
+    assert rng.bit_generator.state["has_uint32"] == int(pending)
+    return rng
+
+
+def per_image_epoch(ranges, rng, n, width, height):
+    return np.stack(
+        [affine_matrix(sample_affine_params(ranges, rng), width, height) for _ in range(n)]
+    )
+
+
+def epoch_digest(mats: np.ndarray, rng: np.random.Generator) -> str:
+    """sha256 of the matrices (<f8), the generator state and its next draws."""
+    h = hashlib.sha256(np.ascontiguousarray(mats, dtype="<f8").tobytes())
+    h.update(repr(sorted(rng.bit_generator.state.items())).encode())
+    h.update(np.float64(rng.random()).tobytes() + np.int64(rng.integers(2**31)).tobytes())
+    return h.hexdigest()
+
+
+# (hflip, vflip, pending uint32 half) -> digest of 84 matrices for a 16x12 image
+EPOCH_SHA256 = {
+    (False, False, False): "3634e64de819900cf13bad956f02d40032f881a891d1a4aff3ead9e9f3d558b7",
+    (False, False, True): "981bcab3df16af33101acf643b60e065bcd49469fc531546a406f3d033d735d0",
+    (False, True, False): "6c33d15408125ec4d7243c8ef37b0d49f0f225de154076ba5e803362f46f197f",
+    (False, True, True): "1ec5cf7bc4686001efc315cdf985745c2c4fad669c6526cf65bacbd7a2ebdc0d",
+    (True, False, False): "3af69aa0a751a0514bc4b341c717855dcb13822323b25b2efea617c4429644a8",
+    (True, False, True): "cf1ddda00b3de6f4866859b97178b689a515d1d9ae1e632ed13191174062f553",
+    (True, True, False): "891c424c62c03dedee48b60e1f605731a64225f50b096e8a38d9a623f48a5f18",
+    (True, True, True): "a7462ccd8aafcc264acd68dfadbdaecf83b3f3c63edac7d2806000c4081c420f",
+}
+
+
+def batched_epoch(ranges, rng, n, width, height):
+    return affine_matrix(sample_affine_params(ranges, rng, n), width, height)
+
+
+@pytest.mark.parametrize("epoch", [per_image_epoch, batched_epoch])
+@pytest.mark.parametrize("key", sorted(EPOCH_SHA256))
+def test_epoch_is_pinned(epoch, key):
+    hflip, vflip, pending = key
+    ranges = AffineRanges(**EPOCH_RANGES, allow_hflip=hflip, allow_vflip=vflip)
+    rng = epoch_rng(pending)
+    assert epoch_digest(epoch(ranges, rng, 84, 16, 12), rng) == EPOCH_SHA256[key]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    envelopes=st.tuples(
+        st.floats(0.0, 180.0), st.floats(0.0, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+    ),
+    hflip=st.booleans(),
+    vflip=st.booleans(),
+    pending=st.booleans(),
+    n=st.integers(min_value=1, max_value=12),
+    width=st.integers(min_value=1, max_value=40),
+    height=st.integers(min_value=1, max_value=40),
+)
+def test_batched_draws_match_per_image_draws(seed, envelopes, hflip, vflip, pending, n, width, height):
+    ranges = AffineRanges(*envelopes, allow_hflip=hflip, allow_vflip=vflip)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    if pending:
+        for rng in rngs:
+            rng.integers(2)
+    expected = per_image_epoch(ranges, rngs[0], n, width, height)
+    params = sample_affine_params(ranges, rngs[1], n)
+    assert all(np.shape(v) == (n,) for v in vars(params).values())
+    assert params.hflip.dtype == bool and params.vflip.dtype == bool
+    assert np.array_equal(affine_matrix(params, width, height), expected)
+    assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.lists(affine_params, min_size=1, max_size=9),
+    width=st.integers(min_value=1, max_value=64),
+    height=st.integers(min_value=1, max_value=64),
+)
+def test_batched_matrix_rows_match_scalar_calls_bitwise(params, width, height):
+    columns = zip(*(vars(p).values() for p in params))
+    batched = affine_matrix(AffineParams(*map(np.array, columns)), width, height)
+    assert batched.shape == (len(params), 2, 3)
+    for p, row in zip(params, batched):
+        assert np.array_equal(row, affine_matrix(p, width, height))
+
+
+class TestBatchedAffine:
+    def test_scalar_draw_gives_scalar_fields(self):
+        p = sample_affine_params(AffineRanges(), np.random.default_rng(0))
+        assert all(type(v) is float for v in vars(p).values() if not isinstance(v, bool))
+        assert type(p.hflip) is bool and type(p.vflip) is bool
+        assert affine_matrix(p, 8, 8).shape == (2, 3)
+
+    def test_one_singular_row_rejects_the_batch(self):
+        params = AffineParams(
+            rotation_deg=np.zeros(3),
+            scale=np.array([1.0, 1e-9, 1.0]),
+            shear_frac=np.zeros(3),
+            translate_x_frac=np.zeros(3),
+            translate_y_frac=np.zeros(3),
+            hflip=np.zeros(3, dtype=bool),
+            vflip=np.zeros(3, dtype=bool),
+        )
+        with pytest.raises(ValidationError, match="singular"):
+            affine_matrix(params, 4, 4)
+
+    def test_mixed_field_shapes_rejected(self):
+        with pytest.raises(ValidationError):
+            AffineParams(rotation_deg=np.zeros(3))
+        with pytest.raises(ValidationError):
+            AffineParams(rotation_deg=np.zeros(2), scale=np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "field", ["max_rotation_deg", "max_scale_frac", "max_shear_frac", "max_translate_frac"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+def test_non_finite_envelopes_rejected(field, value):
+    # NaN slipped past the sign checks, and 1e308 makes the draw's width
+    # 2e308 overflow; either fails at construction now
+    with pytest.raises(ValidationError):
+        AffineRanges(**{field: value})

@@ -528,3 +528,113 @@ def test_gradient_check_property(seed):
     analytic = mlp_backward(model, x, y, None)
     numeric = finite_difference_grads(model, x, y, None)
     assert max_relative_error(analytic, numeric) < 1e-4
+
+
+# sha256 of the trained w1, b1, w2, b2 (<f8) after 3 epochs at dropout 0.1,
+# recorded with the per-image augmentation draws and a backward pass that
+# recomputed its forward pass
+FULL_AUGMENTATION = {"rotation": 10.0, "scale": 0.2, "shear": 0.2, "translate": 0.3, "hflip": True, "vflip": True}
+
+
+@pytest.mark.parametrize(
+    "augmentation, batch_size, digest",
+    [
+        (FULL_AUGMENTATION, 16, "bba6f2c6233843b822f1516d1282ca8d45fbca640d693e41d60560f05fe3510e"),
+        ({}, 16, "a5ea6d0a42337fb5aaccdfc414b7b7a919550747d1733b124a0789a3344e1ea4"),
+        # 84 training images: the last minibatch holds one image
+        ({}, 83, "148540e537ab723b8db06de6536940b1f54a4be58c00bcd99b7ed4cd01590019"),
+    ],
+)
+def test_trained_weights_are_pinned(default_split, monkeypatch, augmentation, batch_size, digest):
+    models = []
+    forward = surrogate.mlp_forward
+
+    def recording_forward(model, batch, train=False, **kwargs):
+        models.append(model)
+        return forward(model, batch, train=train, **kwargs)
+
+    monkeypatch.setattr(surrogate, "mlp_forward", recording_forward)
+    params = {"lr": 5e-4, "dropout": 0.1, "batch_size": batch_size, **augmentation}
+    train_and_evaluate(params, default_split, epochs=3, seed=1)
+    trained = models[-1]  # the final evaluation sees the trained weights
+    h = hashlib.sha256()
+    for name in ("w1", "b1", "w2", "b2"):
+        h.update(np.ascontiguousarray(getattr(trained, name), dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def reference_adam_step(params, grads, state, lr):
+    """The per-array Adam update the flat one replaced, for comparison."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for k, p in params.items():
+        g = grads[k]
+        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
+        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[k] / bc1
+        v_hat = state.v[k] / bc2
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+class TestFlatTrainingStep:
+    def test_flat_adam_matches_per_array_reference_bitwise(self):
+        rng = np.random.default_rng(3)
+        model = init_model(256, 2, 0.1, rng)
+        ref = {k: p.copy() for k, p in model.params().items()}
+        ref_state = AdamState.for_params(ref)
+        weights, views = surrogate._flat_copy(model.params())
+        grads, grad_views = surrogate._flat_copy(views)
+        state = AdamState.for_params({"all": weights})
+        for step in range(200):
+            for k, g in grad_views.items():
+                g[...] = rng.normal(0.0, 10.0 ** rng.uniform(-6, 2), size=g.shape)
+            reference_adam_step(ref, {k: g.copy() for k, g in grad_views.items()}, ref_state, 1e-3)
+            adam_step({"all": weights}, {"all": grads}, state, 1e-3)
+            for k in ref:
+                assert np.array_equal(views[k], ref[k]), (step, k)
+        assert state.step_count == ref_state.step_count == 200
+
+    def test_flat_copy_views_share_one_buffer(self):
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])}
+        flat, views = surrogate._flat_copy(arrays)
+        assert np.array_equal(flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+        flat[:] = -1.0
+        assert np.all(views["a"] == -1.0) and views["a"].shape == (2, 3)
+        assert np.all(arrays["a"] != -1.0)  # a copy, not the caller's arrays
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_backward_from_forward_activations_is_bitwise_equal(self, dropout):
+        model = small_model(seed=5, input_dim=6, hidden=5, n_classes=3, dropout=dropout)
+        rng = np.random.default_rng(6)
+        x = rng.random((7, 6))
+        y = rng.integers(0, 3, size=7)
+        acts = {}
+        _, mask = mlp_forward(model, x, train=True, rng=rng, acts=acts)
+        recomputed = mlp_backward(model, x, y, mask)
+        out = {k: np.full_like(p, np.nan) for k, p in model.params().items()}
+        cached = mlp_backward(model, x, y, mask, acts=acts, out=out)
+        assert cached is out
+        for k in recomputed:
+            assert np.array_equal(cached[k], recomputed[k]), k
+
+    def test_backward_reuses_the_training_forward_pass(self, default_split, monkeypatch):
+        logits_seen, reused = [], []
+        forward, backward = surrogate.mlp_forward, surrogate.mlp_backward
+
+        def recording_forward(model, batch, train=False, **kwargs):
+            logits, mask = forward(model, batch, train=train, **kwargs)
+            logits_seen.append(logits)
+            return logits, mask
+
+        def recording_backward(model, batch, labels, mask, acts=None, out=None):
+            reused.append(acts is not None and acts["logits"] is logits_seen[-1])
+            return backward(model, batch, labels, mask, acts=acts, out=out)
+
+        monkeypatch.setattr(surrogate, "mlp_forward", recording_forward)
+        monkeypatch.setattr(surrogate, "mlp_backward", recording_backward)
+        train_and_evaluate({"lr": 5e-4, "batch_size": 16}, default_split, epochs=2)
+        n_batches = -(-len(default_split.train_x) // 16)
+        assert reused == [True] * (2 * n_batches)
+        assert len(logits_seen) == 2 * n_batches + 2  # plus one evaluation per epoch
