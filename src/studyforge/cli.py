@@ -13,10 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import apply_overrides, config_from_mapping
-from .errors import ConfigError, StudyForgeError
+from .config import apply_overrides, config_from_mapping, load_yaml
+from .errors import StudyForgeError
 from .journal import read_records, study_from_records
 from .manifest import TASK_CLASSES, load_manifest, select_cohort, write_split
 from .orchestrator import run_study
@@ -30,12 +28,8 @@ def _best_payload(study) -> dict:
     return {"params": best.params, "value": best.final_value}
 
 
-def cmd_run(config_path: str, overrides: list[str]) -> int:
-    text = Path(config_path).read_text()
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from None
+def cmd_run(config_path: str, overrides: list[str], resume: bool = False) -> int:
+    raw = load_yaml(Path(config_path).read_text())
     if overrides:
         raw = apply_overrides(raw, overrides)
     env_seed = os.environ.get(SEED_ENV)
@@ -44,7 +38,7 @@ def cmd_run(config_path: str, overrides: list[str]) -> int:
         raw["seed"] = int(env_seed)
     config = config_from_mapping(raw)
 
-    result = run_study(config)
+    result = run_study(config, resume=resume)
     out_dir = Path(config.output_dir)
 
     if result.best is not None:
@@ -107,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="dotted config override, e.g. policy.n_trials=5 (repeatable)",
     )
+    p_run.add_argument(
+        "--resume",
+        action="store_true",
+        help="continue the study in output_dir's journal.jsonl, which must come from "
+        "the same config, instead of starting over",
+    )
 
     p_report = sub.add_parser("report", help="regenerate report files from a journal")
     p_report.add_argument("journal", help="path to journal.jsonl")
@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.overrides)
+            return cmd_run(args.config, args.overrides, args.resume)
         if args.command == "report":
             return cmd_report(args.journal, args.format, args.out)
         if args.command == "best":

@@ -7,6 +7,7 @@ in, config out; the seed env override is applied by the CLI layer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -30,6 +31,26 @@ from .surrogate import BENCHMARKS, DEFAULT_HP, SyntheticSpec
 SAMPLER_KINDS = ("tpe", "random", "grid")
 
 SURROGATE_PARAMS = tuple(DEFAULT_HP)
+
+
+class YamlLoader(yaml.SafeLoader):
+    """SafeLoader that reads exponent floats by YAML 1.2 rules: YAML 1.1
+    leaves 1e-4 and 1.5e3 as strings (it wants a dot and a signed exponent)."""
+
+
+YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def load_yaml(text: str):
+    """Parse config YAML with ``YamlLoader``; errors become ConfigError."""
+    try:
+        return yaml.load(text, Loader=YamlLoader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"invalid YAML: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -241,11 +262,7 @@ def _parse_data(node, path: str) -> DataConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from None
-    return config_from_mapping(raw)
+    return config_from_mapping(load_yaml(text))
 
 
 def config_from_mapping(raw) -> ExperimentConfig:
@@ -369,7 +386,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         if not all(keys):
             raise ConfigError(f"override {item!r} has an empty key segment")
         try:
-            value = yaml.safe_load(value_text) if value_text != "" else ""
+            value = yaml.load(value_text, Loader=YamlLoader) if value_text != "" else ""
         except yaml.YAMLError:
             value = value_text
         node = raw

@@ -1,9 +1,13 @@
 """Append-only JSON-lines journal with torn-write-tolerant replay.
 
 Each record is one JSON object per line with a strictly increasing `seq`;
-the first record is the study metadata. Appends are flushed and fsynced
-before returning, so any crash leaves a valid prefix plus at most one
-garbage tail line, which replay ignores.
+the first record is the study metadata. Every append is flushed before it
+returns, so a process crash loses nothing. Only the records that close a
+unit of work (`study-meta`, `trial-end`, `checkpoint`) are fsynced, and one
+fsync makes every earlier byte durable: a power loss can drop only the
+records of the trial in flight, which `run --resume` re-creates. Either
+way the file is a valid prefix plus at most one garbage tail line, which
+replay ignores.
 """
 
 from __future__ import annotations
@@ -23,12 +27,19 @@ KIND_TRIAL_END = "trial-end"
 KIND_CHECKPOINT = "checkpoint"
 
 _KINDS = (KIND_META, KIND_TRIAL_START, KIND_INTERMEDIATE, KIND_TRIAL_END, KIND_CHECKPOINT)
+# group commit: the records that end a unit of work carry the fsync
+_FSYNCED_KINDS = frozenset((KIND_META, KIND_TRIAL_END, KIND_CHECKPOINT))
 
 
 class Journal:
-    """Writer handle; thread-safe, sequence numbers assigned under a lock."""
+    """Writer handle; thread-safe, sequence numbers assigned under a lock.
 
-    def __init__(self, path, meta: dict | None = None):
+    With ``meta`` a new journal is written; without it the existing file is
+    reopened after cutting it back to its first ``keep`` durable records
+    (all of them by default).
+    """
+
+    def __init__(self, path, meta: dict | None = None, keep: int | None = None):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._next_seq = 0
@@ -38,7 +49,7 @@ class Journal:
             self._fh = open(self.path, "w", encoding="utf-8")
             self.append(KIND_META, **meta)
         else:
-            self._next_seq = _repair_tail(self.path)
+            self._next_seq = _repair_tail(self.path, keep)
             self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, kind: str, **payload) -> dict:
@@ -46,28 +57,14 @@ class Journal:
         with self._lock:
             record = {"seq": self._next_seq, "kind": kind}
             record.update(payload)
-            self._write(record)
+            if self._fh is None:
+                raise JournalError("journal is closed")
+            self._fh.write(json.dumps(record) + "\n")
+            self._fh.flush()
+            if kind in _FSYNCED_KINDS:
+                os.fsync(self._fh.fileno())
             self._next_seq += 1
             return record
-
-    def append_record(self, record: dict) -> None:
-        """Append a pre-built record; its seq must be exactly last + 1."""
-        with self._lock:
-            if record.get("seq") != self._next_seq:
-                raise JournalError(
-                    f"sequence gap: expected {self._next_seq}, got {record.get('seq')}"
-                )
-            if record.get("kind") not in _KINDS:
-                raise JournalError(f"unknown record kind {record.get('kind')!r}")
-            self._write(record)
-            self._next_seq += 1
-
-    def _write(self, record: dict) -> None:
-        if self._fh is None:
-            raise JournalError("journal is closed")
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:
@@ -81,16 +78,19 @@ class Journal:
         self.close()
 
 
-def _repair_tail(path: Path) -> int:
-    """Cut the file back to its durable records, newline-terminated.
+def _repair_tail(path: Path, keep: int | None = None) -> int:
+    """Cut the file back to its first ``keep`` durable records (default all),
+    newline-terminated, and fsync the cut.
 
     Appending after a torn tail would glue the new record onto the garbage,
     and appending after a final record that lacks its newline would glue two
     records into one line; either way a read would drop records. Returns the
-    number of durable records.
+    number of records kept.
     """
     raw = path.read_bytes()
-    records, end = _parse(raw)
+    records, ends = _parse(raw)
+    kept = len(records[:keep])
+    end = min(ends[kept - 1], len(raw)) if kept else 0
     with open(path, "r+b") as fh:
         fh.truncate(end)
         if end and raw[end - 1 : end] != b"\n":
@@ -98,7 +98,7 @@ def _repair_tail(path: Path) -> int:
             fh.write(b"\n")
         fh.flush()
         os.fsync(fh.fileno())
-    return len(records)
+    return kept
 
 
 def read_records(path) -> list[dict]:
@@ -110,9 +110,11 @@ def read_records(path) -> list[dict]:
     return _parse(Path(path).read_bytes())[0]
 
 
-def _parse(raw: bytes) -> tuple[list[dict], int]:
-    """The durable records and the byte offset where the last one ends."""
+def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
+    """The durable records and the byte offset just past each one's line
+    (one past the end of ``raw`` for a final record without its newline)."""
     end = 0
+    ends: list[int] = []
     lines = raw.split(b"\n")
     # drop trailing empty chunk from the final newline
     if lines and lines[-1] == b"":
@@ -138,7 +140,8 @@ def _parse(raw: bytes) -> tuple[list[dict], int]:
             raise JournalCorruptError(len(records), str(exc)) from None
         records.append(record)
         end += len(line) + 1
-    return records, min(end, len(raw))
+        ends.append(end)
+    return records, ends
 
 
 def study_from_records(records: list[dict]) -> Study:

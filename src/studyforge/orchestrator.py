@@ -7,6 +7,11 @@ samplers always see a consistent history snapshot. Threshold policy: once
 a completed value meets save_threshold and improves on the prior best, a
 checkpoint record is written; once a completed value meets
 stop_threshold, no further trials start. Runs are bitwise deterministic for max_parallel = 1.
+
+A resumed run keeps the journal's closed trials, cuts back before the
+first trial still in flight and continues from its id; per-trial RNG
+streams are keyed on [seed, trial_id, lane], so a single-worker run that
+is interrupted and resumed writes the same bytes as one that is not.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from .augment import read_pgm, resize_to
 from .errors import (
     DivergenceError,
     ExhaustedSearchError,
+    JournalError,
     TrialPruned,
     ValidationError,
 )
-from .journal import Journal
+from .journal import Journal, read_records, study_from_records
 from .manifest import TASK_CLASSES, load_manifest, select_cohort, task_label
 from .pruning import should_prune
 from .samplers import make_sampler
@@ -165,12 +171,69 @@ def config_hash(config: "ExperimentConfig") -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_study(config: "ExperimentConfig", journal_path=None) -> StudyResult:
-    """Execute the configured study end to end, journaling every event."""
+def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
+    """How many leading records hold only closed trials.
+
+    A trial is closed by its trial-end and, when that end earned a
+    checkpoint, by the checkpoint right after it. The prefix stops before
+    the first trial that is not closed, and before any trial whose records
+    run past that point (worker threads interleave trials).
+    """
+    start, last, closed = {}, {}, set()
+    best = None
+    for i, record in enumerate(records[1:], 1):
+        trial_id = record["trial_id"]
+        start.setdefault(trial_id, i)
+        last[trial_id] = i
+        if record["kind"] != journal_mod.KIND_TRIAL_END:
+            continue
+        if record["state"] != TrialState.COMPLETE.value:
+            closed.add(trial_id)
+            continue
+        value = record["final_value"]
+        improves = is_improvement(direction, value, best)
+        due = (
+            improves
+            and save_threshold is not None
+            and meets_threshold(direction, value, save_threshold)
+        )
+        after = records[i + 1] if i + 1 < len(records) else {}
+        if not due or after.get("kind") == journal_mod.KIND_CHECKPOINT:
+            closed.add(trial_id)
+        if improves:
+            best = value
+    cut = min((i for t, i in start.items() if t not in closed), default=len(records))
+    while late := [i for t, i in start.items() if i < cut <= last[t]]:
+        cut = min(late)
+    return cut
+
+
+def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bool):
+    """A fresh journal, or with ``resume`` the existing one cut back to its
+    closed trials, and the study that the kept trials rebuild."""
+    records = read_records(path) if resume and path.exists() else []
+    if not records:
+        return Journal(path, meta=meta), create_study(config.space, config.direction, config.seed)
+    if records[0].get("config_hash") != meta["config_hash"]:
+        raise JournalError(
+            f"{path} was written by another config (config_hash "
+            f"{str(records[0].get('config_hash'))[:12]}, this config {meta['config_hash'][:12]})"
+        )
+    keep = closed_prefix(records, config.direction, config.policy.save_threshold)
+    study = study_from_records(records[:keep])
+    return Journal(path, keep=keep), study
+
+
+def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = False) -> StudyResult:
+    """Execute the configured study end to end, journaling every event.
+
+    With ``resume`` an existing journal written by the same config is
+    continued instead of started over; a journal from another config is
+    refused and left as it is.
+    """
     direction = config.direction
     policy = config.policy
     policy.validate_for_direction(direction)
-    study = create_study(config.space, direction, config.seed)
     sampler = make_sampler(
         config.sampler.kind,
         tpe_config=config.sampler.tpe,
@@ -187,10 +250,17 @@ def run_study(config: "ExperimentConfig", journal_path=None) -> StudyResult:
         "config_hash": config_hash(config),
     }
 
+    journal, study = _open_journal(journal_path, meta, config, resume)
+    completed = [t.final_value for t in study.completed_trials()]
     lock = threading.Lock()
-    state = {"asked": 0, "stop": False, "best_completed": None}
+    state = {
+        "asked": len(study.trials),
+        "stop": policy.stop_threshold is not None
+        and any(meets_threshold(direction, v, policy.stop_threshold) for v in completed),
+        "best_completed": study.best_trial().final_value if completed else None,
+    }
 
-    with Journal(journal_path, meta=meta) as journal:
+    with journal:
 
         def start_trial():
             """Coordinator step: returns the new trial or None when done."""

@@ -188,6 +188,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"data\.manifest"):
             parse_config(base + "data: {ratios: [0.7, 0.2, 0.1]}\n")
 
+    def test_exponent_float_without_a_dot_is_a_number(self):
+        text = QUADRATIC_YAML.format(out="o").replace("low: 0.0", "low: 1e-4")
+        assert parse_config(text).space["x"].low == 0.0001
+        quoted = text.replace("low: 1e-4", 'low: "1e-4"')
+        with pytest.raises(ConfigError, match="expected a number, got '1e-4'"):
+            parse_config(quoted)
+
     def test_invalid_yaml_is_a_config_error(self):
         with pytest.raises(ConfigError, match="invalid YAML"):
             parse_config("objective: [unclosed\n")
@@ -297,6 +304,10 @@ class TestApplyOverrides:
         with pytest.raises(ConfigError, match="descend"):
             apply_overrides({"seed": 3}, ["seed.x=1"])
 
+    def test_exponent_floats_read_as_numbers(self):
+        out = apply_overrides({}, ["a=1e-4", "b=1.5e3", 'c="1e-4"', "d=10"])
+        assert out == {"a": 0.0001, "b": 1500.0, "c": "1e-4", "d": 10}
+
     def test_override_feeds_config_parsing(self):
         raw = {
             "objective": "quadratic-1d",
@@ -356,6 +367,37 @@ class TestCliRun:
         assert "injected" in capsys.readouterr().err
         assert (out / "best.json").read_bytes() == before
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    def test_exponent_float_override_runs(self, tmp_path):
+        config_path, out = write_quadratic_config(tmp_path)
+        assert main(["run", str(config_path), "--set", "space.x.low=1e-4"]) == 0
+        assert read_records(out / "journal.jsonl")[0]["space"]["x"]["low"] == 0.0001
+
+    def test_resume_of_a_finished_study_appends_nothing(self, tmp_path, capsys):
+        config_path, out = write_quadratic_config(tmp_path)
+        assert main(["run", str(config_path)]) == 0
+        before = (out / "journal.jsonl").read_bytes()
+        assert main(["run", str(config_path), "--resume"]) == 0
+        assert (out / "journal.jsonl").read_bytes() == before
+
+    def test_resume_continues_a_cut_journal(self, tmp_path, capsys):
+        config_path, out = write_quadratic_config(tmp_path)
+        assert main(["run", str(config_path)]) == 0
+        whole = (out / "journal.jsonl").read_bytes()
+        (out / "journal.jsonl").write_bytes(whole[: len(whole) // 2])
+        assert main(["run", str(config_path), "--resume"]) == 0
+        assert (out / "journal.jsonl").read_bytes() == whole
+
+    def test_resume_refuses_another_config_and_keeps_its_journal(self, tmp_path, capsys):
+        config_path, out = write_quadratic_config(tmp_path)
+        assert main(["run", str(config_path)]) == 0
+        journal = out / "journal.jsonl"
+        cut = journal.read_bytes()[:-10]
+        journal.write_bytes(cut)
+        argv = ["run", str(config_path), "--set", "policy.n_trials=5", "--resume"]
+        assert main(argv) == 1
+        assert "another config" in capsys.readouterr().err
+        assert journal.read_bytes() == cut
 
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         config_path, out = write_quadratic_config(tmp_path)

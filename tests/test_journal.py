@@ -77,22 +77,6 @@ class TestJournalWriter:
             pass
         assert path.exists()
 
-    def test_append_record_requires_next_seq(self, tmp_path):
-        path = tmp_path / "study.jsonl"
-        with Journal(path, meta=meta_for(demo_space())) as journal:
-            with pytest.raises(JournalError, match="sequence gap"):
-                journal.append_record(
-                    {"seq": 5, "kind": KIND_CHECKPOINT, "trial_id": 0}
-                )
-            journal.append_record({"seq": 1, "kind": KIND_CHECKPOINT, "trial_id": 0})
-        assert len(read_records(path)) == 2
-
-    def test_append_record_rejects_unknown_kind(self, tmp_path):
-        path = tmp_path / "study.jsonl"
-        with Journal(path, meta=meta_for(demo_space())) as journal:
-            with pytest.raises(JournalError, match="kind"):
-                journal.append_record({"seq": 1, "kind": "note"})
-
     def test_closed_journal_rejects_appends(self, tmp_path):
         path = tmp_path / "study.jsonl"
         journal = Journal(path, meta=meta_for(demo_space()))
@@ -175,6 +159,16 @@ class TestReadRecords:
         with pytest.raises(JournalCorruptError) as exc_info:
             read_records(path)
         assert exc_info.value.seq == 1
+
+    def test_unknown_kind_is_corruption(self, tmp_path):
+        path = tmp_path / "study.jsonl"
+        write_demo_journal(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = json.dumps({"seq": 2, "kind": "note"}).encode()
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(JournalCorruptError) as exc_info:
+            read_records(path)
+        assert exc_info.value.seq == 2
 
     def test_non_object_line_is_corruption(self, tmp_path):
         path = tmp_path / "study.jsonl"
