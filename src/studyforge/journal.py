@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from pathlib import Path
 
 from .errors import JournalCorruptError, JournalError
@@ -32,16 +31,17 @@ _FSYNCED_KINDS = frozenset((KIND_META, KIND_TRIAL_END, KIND_CHECKPOINT))
 
 
 class Journal:
-    """Writer handle; thread-safe, sequence numbers assigned under a lock.
+    """Writer handle that assigns sequence numbers. It takes no lock: the
+    orchestrator, its one writer, appends only under its coordinator lock.
 
     With ``meta`` a new journal is written; without it the existing file is
     reopened after cutting it back to its first ``keep`` durable records
-    (all of them by default).
+    (all of them by default). ``contents`` is what `read_journal` returned
+    for the file, when the caller has read it already.
     """
 
-    def __init__(self, path, meta: dict | None = None, keep: int | None = None):
+    def __init__(self, path, meta: dict | None = None, keep: int | None = None, contents=None):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._next_seq = 0
         self._fh = None
         if meta is not None:
@@ -49,22 +49,22 @@ class Journal:
             self._fh = open(self.path, "w", encoding="utf-8")
             self.append(KIND_META, **meta)
         else:
-            self._next_seq = _repair_tail(self.path, keep)
+            raw, _, ends = contents or read_journal(self.path)
+            self._next_seq = _repair_tail(self.path, raw, ends, keep)
             self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, kind: str, **payload) -> dict:
         """Append one record, assigning the next sequence number."""
-        with self._lock:
-            record = {"seq": self._next_seq, "kind": kind}
-            record.update(payload)
-            if self._fh is None:
-                raise JournalError("journal is closed")
-            self._fh.write(json.dumps(record) + "\n")
-            self._fh.flush()
-            if kind in _FSYNCED_KINDS:
-                os.fsync(self._fh.fileno())
-            self._next_seq += 1
-            return record
+        record = {"seq": self._next_seq, "kind": kind}
+        record.update(payload)
+        if self._fh is None:
+            raise JournalError("journal is closed")
+        self._fh.write(json.dumps(record) + "\n")
+        self._fh.flush()
+        if kind in _FSYNCED_KINDS:
+            os.fsync(self._fh.fileno())
+        self._next_seq += 1
+        return record
 
     def close(self) -> None:
         if self._fh is not None:
@@ -78,18 +78,17 @@ class Journal:
         self.close()
 
 
-def _repair_tail(path: Path, keep: int | None = None) -> int:
-    """Cut the file back to its first ``keep`` durable records (default all),
-    newline-terminated, and fsync the cut.
+def _repair_tail(path: Path, raw: bytes, ends: list[int], keep: int | None = None) -> int:
+    """Cut the file, whose bytes are ``raw`` with record ends ``ends``, back
+    to its first ``keep`` durable records (default all), newline-terminated,
+    and fsync the cut.
 
     Appending after a torn tail would glue the new record onto the garbage,
     and appending after a final record that lacks its newline would glue two
     records into one line; either way a read would drop records. Returns the
     number of records kept.
     """
-    raw = path.read_bytes()
-    records, ends = _parse(raw)
-    kept = len(records[:keep])
+    kept = len(ends[:keep])
     end = min(ends[kept - 1], len(raw)) if kept else 0
     with open(path, "r+b") as fh:
         fh.truncate(end)
@@ -107,7 +106,14 @@ def read_records(path) -> list[dict]:
     Any unreadable or out-of-sequence record other than the trailing one
     raises JournalCorruptError naming the expected sequence number.
     """
-    return _parse(Path(path).read_bytes())[0]
+    return read_journal(path)[1]
+
+
+def read_journal(path) -> tuple[bytes, list[dict], list[int]]:
+    """The journal's bytes, its durable records (as `read_records`) and
+    the byte offset just past each record's line."""
+    raw = Path(path).read_bytes()
+    return (raw, *_parse(raw))
 
 
 def _parse(raw: bytes) -> tuple[list[dict], list[int]]:

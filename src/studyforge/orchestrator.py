@@ -36,7 +36,7 @@ from .errors import (
     TrialPruned,
     ValidationError,
 )
-from .journal import Journal, read_records, study_from_records
+from .journal import Journal, read_journal, study_from_records
 from .manifest import TASK_CLASSES, load_manifest, select_cohort, task_label
 from .pruning import should_prune
 from .samplers import make_sampler
@@ -211,7 +211,8 @@ def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
 def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bool):
     """A fresh journal, or with ``resume`` the existing one cut back to its
     closed trials, and the study that the kept trials rebuild."""
-    records = read_records(path) if resume and path.exists() else []
+    contents = read_journal(path) if resume and path.exists() else None
+    records = contents[1] if contents else []
     if not records:
         return Journal(path, meta=meta), create_study(config.space, config.direction, config.seed)
     if records[0].get("config_hash") != meta["config_hash"]:
@@ -221,7 +222,7 @@ def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bo
         )
     keep = closed_prefix(records, config.direction, config.policy.save_threshold)
     study = study_from_records(records[:keep])
-    return Journal(path, keep=keep), study
+    return Journal(path, keep=keep, contents=contents), study
 
 
 def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = False) -> StudyResult:

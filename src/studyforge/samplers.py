@@ -12,16 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import ExhaustedSearchError, ValidationError
 from .study import (
     MAXIMIZE,
+    Observations,
     SearchSpace,
     Study,
-    TrialState,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -108,7 +107,7 @@ def fit_parzen(
     """
     if not (math.isfinite(low) and math.isfinite(high) and low < high):
         raise ValidationError(f"invalid domain [{low}, {high}]")
-    values = np.fromiter(values, float)
+    values = np.asarray(values, dtype=float)
     if not ((values >= low) & (values <= high)).all():
         raise ValidationError("observation outside domain")
     if is_log:
@@ -162,7 +161,7 @@ def parzen_logpdf(est: ParzenEstimator, x):
 
 def parzen_sample(est: ParzenEstimator, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draw from the mixture by component choice + in-domain rejection."""
-    idx = rng.choice(len(est.weights), size=size, p=est.weights)
+    idx = _choice(rng, est.weights, size)
     mu = est.centers[idx]
     sigma = est.bandwidths[idx]
     out = np.empty(size)
@@ -176,6 +175,15 @@ def parzen_sample(est: ParzenEstimator, rng: np.random.Generator, size: int = 1)
         if pending.size == 0:
             return out
     raise RuntimeError("truncated-normal rejection failed to converge")
+
+
+def _choice(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(p), size, p=p)`` by that call's own arithmetic and
+    draws, without its re-validation of ``p``: the same indices and the
+    same generator state afterwards."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def suggest_random(space: SearchSpace, rng: np.random.Generator) -> dict:
@@ -221,58 +229,37 @@ def grid_enumerate(space: SearchSpace, resolution: int) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
-class Observations(list):
-    """(params, value) pairs in trial order, plus how many are complete."""
-
-    n_complete = 0
-
-
 def trial_observations(study: Study) -> Observations:
     """History TPE learns from: complete trials at their final value,
-    pruned trials at their last intermediate; failed trials carry nothing."""
-    history = Observations()
-    for t in study.trials:
-        if t.state is TrialState.COMPLETE:
-            history.append((t.params, t.final_value))
-            history.n_complete += 1
-        elif t.state is TrialState.PRUNED and t.intermediates:
-            history.append((t.params, t.intermediates[-1][1]))
-    return history
+    pruned trials at their last intermediate; failed trials carry nothing.
+    `Study.tell` keeps it current, so this is a lookup, not a scan."""
+    return study.observations
 
 
-def tpe_split_observations(
-    history: list[tuple[dict, float]],
-    direction: str,
-    cfg: TpeConfig = TpeConfig(),
-) -> tuple[list, list]:
-    """Split history into (good, bad) by the gamma rule.
+def tpe_split_observations(values, direction: str, cfg: TpeConfig = TpeConfig()) -> np.ndarray:
+    """Mask of the good set among the values, by the gamma rule.
 
     n_good = min(gamma_cap, max(1, ceil(gamma_fraction * n))); the good set
-    is the n_good best values per direction, ties resolved by trial order.
+    is the n_good best values per direction, ties resolved by trial order
+    (one stable sort, so the same set as a stable sort of the pairs).
     """
-    n = len(history)
+    values = np.asarray(values, dtype=float)
+    n = values.size
     if n == 0:
         raise ValidationError("history must be non-empty")
     n_good = min(cfg.gamma_cap, max(1, math.ceil(cfg.gamma_fraction * n)))
-    order = sorted(range(n), key=lambda i: history[i][1], reverse=(direction == MAXIMIZE))
-    good_set = set(order[:n_good])
-    good = [h for i, h in enumerate(history) if i in good_set]
-    bad = [h for i, h in enumerate(history) if i not in good_set]
-    return good, bad
+    order = np.argsort(-values if direction == MAXIMIZE else values, kind="stable")
+    good = np.zeros(n, dtype=bool)
+    good[order[:n_good]] = True
+    return good
 
 
-def _categorical_weights(values, choices, prior_weight: float) -> np.ndarray:
-    counts = np.array([sum(1 for v in values if v == c and type(v) is type(c)) for c in choices], dtype=float)
-    w = counts + prior_weight / len(choices)
+def _categorical_weights(codes: np.ndarray, n_choices: int, prior_weight: float) -> np.ndarray:
+    """Smoothed frequencies of the choice indices; index n_choices (a value
+    matching no choice) counts for none."""
+    counts = np.bincount(codes.astype(np.intp), minlength=n_choices + 1)[:n_choices]
+    w = counts.astype(float) + prior_weight / n_choices
     return w / w.sum()
-
-
-def _columns(observations, names: list[str]) -> list[tuple]:
-    """Each parameter's values over the observations, in one pass."""
-    rows = map(itemgetter(*names), (p for p, _ in observations))
-    if len(names) == 1:
-        return [tuple(rows)]
-    return list(zip(*rows)) or [()] * len(names)
 
 
 def tpe_suggest(
@@ -287,15 +274,16 @@ def tpe_suggest(
     if history.n_complete < cfg.n_startup_trials:
         return suggest_random(study.space, rng)
 
-    good, bad = tpe_split_observations(history, study.direction, cfg)
-    names = study.space.names
+    good = tpe_split_observations(history.values, study.direction, cfg)
+    bad = ~good
     params = {}
-    for name, good_vals, bad_vals in zip(names, _columns(good, names), _columns(bad, names)):
-        dist = study.space[name]
+    for name, dist in study.space.entries.items():
+        column = history.column(name)
+        good_vals, bad_vals = column[good], column[bad]
         if dist.is_discrete:
-            w_good = _categorical_weights(good_vals, dist.choices, cfg.prior_weight)
-            w_bad = _categorical_weights(bad_vals, dist.choices, cfg.prior_weight)
-            cand_idx = rng.choice(len(dist.choices), size=cfg.n_candidates, p=w_good)
+            w_good = _categorical_weights(good_vals, len(dist.choices), cfg.prior_weight)
+            w_bad = _categorical_weights(bad_vals, len(dist.choices), cfg.prior_weight)
+            cand_idx = _choice(rng, w_good, cfg.n_candidates)
             scores = np.log(w_good[cand_idx]) - np.log(w_bad[cand_idx])
             params[name] = dist.choices[int(cand_idx[int(np.argmax(scores))])]
         else:

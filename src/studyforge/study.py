@@ -9,6 +9,7 @@ id, so replaying the same call sequence reproduces the study bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -199,6 +200,73 @@ class TrialRecord:
         return None
 
 
+class Observations(list):
+    """The history TPE learns from, kept current by `Study.tell`.
+
+    (params, value) pairs in trial order, even when tells come out of order:
+    complete trials at their final value, pruned trials at their last
+    intermediate; failed and running trials carry nothing. ``values`` and
+    one ``column(name)`` per parameter hold the same history as arrays (a
+    discrete parameter as its `_encode` index). They take in new pairs when
+    next read, so a replay that never asks never builds them.
+    """
+
+    def __init__(self, space: SearchSpace):
+        super().__init__()
+        self.n_complete = 0
+        self._rows = {name: j for j, name in enumerate(space.names, 1)}
+        # each parameter's name, and its choices when it is discrete
+        self._encoding = [
+            (name, d.choices if d.is_discrete else None) for name, d in space.entries.items()
+        ]
+        self._ids: list[int] = []
+        # row 0 the values, row j the j-th parameter; one column per pair,
+        # of which the first _encoded are up to date
+        self._table = np.empty((len(space) + 1, 0))
+        self._encoded = 0
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._current()[0]
+
+    def column(self, name: str) -> np.ndarray:
+        return self._current()[self._rows[name]]
+
+    def add(self, trial: TrialRecord, value: float, complete: bool) -> None:
+        i = bisect.bisect(self._ids, trial.trial_id)
+        self._ids.insert(i, trial.trial_id)
+        self.insert(i, (trial.params, value))
+        if i < self._encoded:
+            self._encoded = i
+        self.n_complete += complete
+
+    def _current(self) -> np.ndarray:
+        n, done = len(self), self._encoded
+        if done < n:
+            if n > self._table.shape[1]:
+                grown = np.empty((len(self._table), 2 * n))
+                grown[:, :done] = self._table[:, :done]
+                self._table = grown
+            rows = [
+                [value, *(_encode(params[name], choices) for name, choices in self._encoding)]
+                for params, value in self[done:]
+            ]
+            self._table[:, done:n] = np.array(rows, dtype=float).T
+            self._encoded = n
+        return self._table[:, :n]
+
+
+def _encode(value, choices: tuple | None):
+    """A continuous value as itself, a discrete one as the index of its
+    type-exact match among the choices (len(choices) for none)."""
+    if choices is None:
+        return value
+    for k, c in enumerate(choices):
+        if value == c and type(value) is type(c):
+            return k
+    return len(choices)
+
+
 class Study:
     """One optimization campaign; single-writer, sequential trial ids."""
 
@@ -211,6 +279,7 @@ class Study:
         self.direction = direction
         self.seed = seed
         self.trials: list[TrialRecord] = []
+        self.observations = Observations(space)
 
     # rng streams: (seed, trial_id, lane) so sampling and objective draws
     # never share a stream and replay is exact regardless of interleaving.
@@ -250,8 +319,11 @@ class Study:
                 raise ValidationError(f"final value must be finite, got {value!r}")
             trial.state = TrialState.COMPLETE
             trial.final_value = float(value)
+            self.observations.add(trial, trial.final_value, complete=True)
         elif state in (TrialState.PRUNED, TrialState.FAILED):
             trial.state = state
+            if state is TrialState.PRUNED and trial.intermediates:
+                self.observations.add(trial, trial.intermediates[-1][1], complete=False)
         else:
             raise StateError("tell needs a value or a pruned/failed state")
         return trial

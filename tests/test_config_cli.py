@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import studyforge.config as config_mod
 from studyforge.cli import main
 from studyforge.config import (
     apply_overrides,
@@ -563,3 +564,48 @@ class TestCliSplit:
     def test_split_missing_manifest(self, tmp_path, capsys):
         assert main(["split", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestJournalPins:
+    """sha256 of whole journals written by `run`, recorded before the TPE
+    history moved into `Study.tell`: the ask must still draw every float and
+    every RNG value the scan-per-ask code drew. The output directory is
+    relative, because config_hash (in the journal) hashes its spelling."""
+
+    REPO = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize(
+        "config, overrides, direction, digest",
+        [
+            (
+                "perfbench/configs/tpe_sphere.yaml",
+                ["policy.n_trials=150"],
+                "minimize",
+                "42c6aee10aa3676e527aac16801017e94f1706e147fcde7f05fdaa0da0d7cb80",
+            ),
+            (
+                "perfbench/configs/tpe_sphere.yaml",
+                ["policy.n_trials=150"],
+                "maximize",
+                "b13126d14f89f30347f6f26a8d8734ca9a53a8b2c8a80b04c9131de484d92d26",
+            ),
+            (
+                "configs/pruned_surrogate.yaml",
+                [],
+                "maximize",
+                "354872ab5198c8536f5953049029f048efd740cd137ab891eb576b420335d342",
+            ),
+        ],
+    )
+    def test_journal_is_pinned(self, tmp_path, monkeypatch, config, overrides, direction, digest):
+        # the sphere only minimizes; flipping the objective's direction runs
+        # the same study through the maximizing split of the TPE history
+        monkeypatch.setattr(config_mod, "direction_for_objective", lambda objective: direction)
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(self.REPO / config), "--set", "output_dir=out"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        raw = (tmp_path / "out" / "journal.jsonl").read_bytes()
+        assert json.loads(raw.split(b"\n", 1)[0])["direction"] == direction
+        assert hashlib.sha256(raw).hexdigest() == digest

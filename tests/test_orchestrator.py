@@ -1,6 +1,9 @@
 import hashlib
 import json
+import sys
+import threading
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from studyforge.config import (
     parse_config,
 )
 from studyforge.errors import ValidationError
-from studyforge.journal import read_records, resume_study
+from studyforge.journal import Journal, read_records, resume_study
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.orchestrator import (
     RunPolicy,
@@ -169,6 +172,66 @@ class TestRunStudyBenchmark:
         assert len([r for r in records if r["kind"] == "trial-end"]) == 12
         resumed = resume_study(result.journal_path)
         assert len(resumed.completed_trials()) == 12
+
+    def test_two_workers_append_only_under_the_coordinator_lock(self, tmp_path, monkeypatch):
+        # Journal takes no lock of its own: the coordinator's must be held,
+        # by the appending thread, at every append after the study-meta
+        # record, which the journal writes before any worker starts
+        locks, unlocked, threads = [], [], set()
+
+        class OwnedLock:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.owner = None
+                locks.append(self)
+
+            def __enter__(self):
+                self._lock.acquire()
+                self.owner = threading.get_ident()
+
+            def __exit__(self, *exc):
+                self.owner = None
+                self._lock.release()
+
+        real_append = Journal.append
+
+        def append(journal, kind, **payload):
+            threads.add(threading.get_ident())
+            if kind == "study-meta":
+                assert not locks
+            elif len(locks) != 1 or locks[0].owner != threading.get_ident():
+                unlocked.append((kind, payload.get("trial_id")))
+            return real_append(journal, kind, **payload)
+
+        # the first two trials meet at a barrier, so both workers are in flight
+        both_running = threading.Barrier(2, timeout=30)
+
+        def build_objective(config):
+            def objective(params, reporter, seed):
+                reporter(0, params["x"])
+                if seed[1] < 2:
+                    both_running.wait()
+                reporter(1, params["x"] / 2)
+                return params["x"] ** 2, None
+
+            return objective
+
+        monkeypatch.setattr(orchestrator, "build_objective", build_objective)
+        monkeypatch.setattr(orchestrator, "threading", SimpleNamespace(Lock=OwnedLock))
+        monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(Journal, "append", append)
+        policy = RunPolicy(n_trials=200, max_parallel=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside appends too
+        try:
+            result = run_study(quadratic_config(tmp_path, policy=policy))
+        finally:
+            sys.setswitchinterval(interval)
+        records = read_records(result.journal_path)
+        assert unlocked == []
+        assert len(threads - {threading.get_ident()}) == 2
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        assert len([r for r in records if r["kind"] == "trial-end"]) == 200
 
     def test_explicit_journal_path_wins(self, tmp_path):
         path = tmp_path / "elsewhere" / "log.jsonl"

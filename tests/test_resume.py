@@ -286,6 +286,23 @@ class TestResume:
         assert sorted(ends) == list(range(12))
         assert len(result.study.trials) == 12
 
+    def test_resume_parses_the_journal_once(self, tmp_path, stepwise, monkeypatch):
+        config = stepwise_config(tmp_path)
+        path = run_study(config).journal_path
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        calls = []
+        real_parse = journal_mod._parse
+
+        def counted(data):
+            calls.append(len(data))
+            return real_parse(data)
+
+        monkeypatch.setattr(journal_mod, "_parse", counted)
+        run_study(config, resume=True)
+        assert calls == [len(raw) // 2]
+        assert path.read_bytes() == raw
+
     def test_surrogate_cut_at_record_boundaries(self, tmp_path):
         config = surrogate_config(tmp_path)
         raw = run_study(config).journal_path.read_bytes()

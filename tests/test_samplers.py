@@ -14,6 +14,7 @@ from studyforge.samplers import (
     RandomSampler,
     TpeConfig,
     TpeSampler,
+    _choice,
     fit_parzen,
     grid_enumerate,
     make_sampler,
@@ -118,30 +119,29 @@ class TestGridSampler:
 
 class TestSplitObservations:
     def test_eight_value_maximize_example(self):
-        values = [0.1, 0.9, 0.3, 0.8, 0.2, 0.4, 0.5, 0.6]
-        history = [({"x": 0.0}, v) for v in values]
-        good, bad = tpe_split_observations(history, MAXIMIZE)
-        assert sorted(v for _, v in good) == [0.8, 0.9]
-        assert len(bad) == 6
+        values = np.array([0.1, 0.9, 0.3, 0.8, 0.2, 0.4, 0.5, 0.6])
+        good = tpe_split_observations(values, MAXIMIZE)
+        assert sorted(values[good]) == [0.8, 0.9]
+        assert (~good).sum() == 6
 
     def test_single_observation(self):
-        good, bad = tpe_split_observations([({"x": 0.0}, 1.0)], MINIMIZE)
-        assert len(good) == 1 and bad == []
+        good = tpe_split_observations(np.array([1.0]), MINIMIZE)
+        assert good.tolist() == [True]
 
     def test_gamma_cap_at_200(self):
-        history = [({"x": 0.0}, float(i)) for i in range(200)]
-        good, bad = tpe_split_observations(history, MINIMIZE)
-        assert len(good) == 25
-        assert sorted(v for _, v in good) == [float(i) for i in range(25)]
+        values = np.arange(200.0)
+        good = tpe_split_observations(values, MINIMIZE)
+        assert good.sum() == 25
+        assert values[good].tolist() == [float(i) for i in range(25)]
 
     def test_good_preserves_trial_order(self):
-        history = [({"x": 0.0}, v) for v in [0.9, 0.1, 0.8, 0.2, 0.3, 0.4, 0.5, 0.6]]
-        good, _ = tpe_split_observations(history, MINIMIZE)
-        assert [v for _, v in good] == [0.1, 0.2]
+        values = np.array([0.9, 0.1, 0.8, 0.2, 0.3, 0.4, 0.5, 0.6])
+        good = tpe_split_observations(values, MINIMIZE)
+        assert values[good].tolist() == [0.1, 0.2]
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValidationError):
-            tpe_split_observations([], MINIMIZE)
+            tpe_split_observations(np.array([]), MINIMIZE)
 
     @given(
         values=st.lists(
@@ -155,11 +155,23 @@ class TestSplitObservations:
         warped_values = [math.exp(v / 100.0) for v in values]
         # exp must stay injective on the sample for strict monotonicity
         assume(len(set(warped_values)) == len(warped_values))
-        history = [({"i": i}, v) for i, v in enumerate(values)]
-        warped = [({"i": i}, w) for i, w in enumerate(warped_values)]
-        good_a, _ = tpe_split_observations(history, MAXIMIZE)
-        good_b, _ = tpe_split_observations(warped, MAXIMIZE)
-        assert {p["i"] for p, _ in good_a} == {p["i"] for p, _ in good_b}
+        good_a = tpe_split_observations(np.array(values), MAXIMIZE)
+        good_b = tpe_split_observations(np.array(warped_values), MAXIMIZE)
+        assert good_a.tolist() == good_b.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=60),
+        direction=st.sampled_from([MAXIMIZE, MINIMIZE]),
+        gamma_cap=st.integers(min_value=1, max_value=30),
+    )
+    def test_same_set_and_ties_as_a_stable_sort_of_the_pairs(self, values, direction, gamma_cap):
+        # heavy ties: the tie order decides which equal values are good
+        cfg = TpeConfig(gamma_cap=gamma_cap)
+        n_good = min(gamma_cap, max(1, math.ceil(cfg.gamma_fraction * len(values))))
+        order = sorted(range(len(values)), key=lambda i: values[i], reverse=(direction == MAXIMIZE))
+        good = tpe_split_observations(np.array(values), direction, cfg)
+        assert np.flatnonzero(good).tolist() == sorted(order[:n_good])
 
 
 class TestFitParzen:
@@ -520,3 +532,30 @@ class TestTpePinned:
         assert h.hexdigest() == (
             "8169e40760722e74afa74eaa574389586cef866e29f6b4ed0d500ae1a3099fb6"
         )
+
+
+class TestComponentChoice:
+    """parzen_sample and the discrete ask draw indices by Generator.choice's
+    own arithmetic; the indices and the generator state must match it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.lists(st.floats(min_value=1e-300, max_value=1e3), min_size=1, max_size=60),
+        size=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**63),
+    )
+    def test_matches_generator_choice(self, raw, size, seed):
+        p = np.array(raw) / math.fsum(raw)
+        assume(abs(p.sum() - 1.0) <= 1e-8)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _choice(ours, p, size).tolist() == theirs.choice(len(p), size=size, p=p).tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_fitted_weights_match_generator_choice(self):
+        rng = np.random.default_rng(3)
+        for n in range(0, 300, 7):
+            est = fit_parzen(list(rng.uniform(size=n)), 0.0, 1.0)
+            ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+            idx = theirs.choice(len(est.weights), size=24, p=est.weights)
+            assert _choice(ours, est.weights, 24).tolist() == idx.tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
