@@ -60,7 +60,7 @@ def cmd_report(journal_path: str, fmt: str, out_dir: str | None) -> int:
     study = study_from_records(records)
     if not study.completed_trials():
         print("warning: journal has no completed trials", file=sys.stderr)
-    written = write_reports(journal_path, target, fmt=fmt)
+    written = write_reports(journal_path, target, fmt=fmt, replayed=(records, study))
     for path in written:
         print(path)
     return 0

@@ -13,6 +13,7 @@ replay ignores.
 from __future__ import annotations
 
 import json
+import json.scanner
 import os
 from pathlib import Path
 
@@ -28,6 +29,9 @@ KIND_CHECKPOINT = "checkpoint"
 _KINDS = (KIND_META, KIND_TRIAL_START, KIND_INTERMEDIATE, KIND_TRIAL_END, KIND_CHECKPOINT)
 # group commit: the records that end a unit of work carry the fsync
 _FSYNCED_KINDS = frozenset((KIND_META, KIND_TRIAL_END, KIND_CHECKPOINT))
+_STATES = {state.value: state for state in TrialState}
+# one JSON value from a given index, decoded as json.loads decodes it
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
 class Journal:
@@ -125,25 +129,33 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
     # drop trailing empty chunk from the final newline
     if lines and lines[-1] == b"":
         lines.pop()
+    last = len(lines) - 1
     records: list[dict] = []
     for i, line in enumerate(lines):
-        is_last = i == len(lines) - 1
+        seq = len(records)
         try:
-            record = json.loads(line.decode("utf-8"))
+            text = line.decode("utf-8")
+            try:
+                record, stop = _scan(text, 0)
+            except StopIteration:
+                stop = -1
+            if stop != len(text):
+                # not one bare JSON value: json.loads gives the answer
+                # (surrounding whitespace) or the error (anything else)
+                record = json.loads(text)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
-            if record.get("seq") != len(records):
-                raise ValueError(
-                    f"expected seq {len(records)}, got {record.get('seq')}"
-                )
-            if record.get("kind") not in _KINDS:
-                raise ValueError(f"unknown kind {record.get('kind')!r}")
-            if len(records) == 0 and record["kind"] != KIND_META:
+            if record.get("seq") != seq:
+                raise ValueError(f"expected seq {seq}, got {record.get('seq')}")
+            kind = record.get("kind")
+            if kind not in _KINDS:
+                raise ValueError(f"unknown kind {kind!r}")
+            if seq == 0 and kind != KIND_META:
                 raise ValueError("first record must be study-meta")
         except (ValueError, UnicodeDecodeError) as exc:
-            if is_last:
+            if i == last:
                 break  # torn write: ignore the tail
-            raise JournalCorruptError(len(records), str(exc)) from None
+            raise JournalCorruptError(seq, str(exc)) from None
         records.append(record)
         end += len(line) + 1
         ends.append(end)
@@ -160,6 +172,7 @@ def study_from_records(records: list[dict]) -> Study:
         direction=meta["direction"],
         seed=int(meta["seed"]),
     )
+    revive = _params_reviver(study.space)
     for record in records[1:]:
         kind = record["kind"]
         if kind == KIND_TRIAL_START:
@@ -168,14 +181,19 @@ def study_from_records(records: list[dict]) -> Study:
                 raise JournalCorruptError(
                     record["seq"], f"trial-start id {trial_id} out of order"
                 )
-            params = _revive_params(study.space, record["params"])
+            params = revive(record["seq"], record["params"])
             study.trials.append(TrialRecord(trial_id=trial_id, params=params))
         elif kind == KIND_INTERMEDIATE:
             study.report_intermediate(
                 record["trial_id"], int(record["step"]), float(record["value"])
             )
         elif kind == KIND_TRIAL_END:
-            state = TrialState(record["state"])
+            name = record["state"]
+            state = _STATES.get(name) if isinstance(name, str) else None
+            if state is None:
+                raise JournalCorruptError(
+                    record["seq"], f"trial-end state {name!r} is not a trial state"
+                )
             if state is TrialState.COMPLETE:
                 study.tell(record["trial_id"], float(record["final_value"]))
             else:
@@ -192,15 +210,41 @@ def resume_study(path) -> Study:
     return study_from_records(read_records(path))
 
 
-def _revive_params(space: SearchSpace, params: dict) -> dict:
-    """Map JSON values back onto the space's own choice objects so that
-    domain checks stay type-exact after a round-trip."""
-    revived = {}
-    for name, value in params.items():
-        dist = space[name]
-        if dist.is_discrete:
-            matches = [c for c in dist.choices if c == value and type(c) is type(value)]
-            revived[name] = matches[0] if matches else value
-        else:
-            revived[name] = float(value)
-    return revived
+def _params_reviver(space: SearchSpace):
+    """A function ``revive(seq, params)`` that maps one trial-start's JSON
+    params back onto the space's own choice objects, so domain checks stay
+    type-exact after a round trip, and that raises JournalCorruptError for
+    params that do not name exactly the space's parameters. The per-space
+    facts are looked up here once, not once per trial."""
+    # name -> {choice: choice} for a discrete parameter, None for a float
+    lookups = {
+        name: {c: c for c in dist.choices} if dist.is_discrete else None
+        for name, dist in space.entries.items()
+    }
+
+    def revive(seq: int, params) -> dict:
+        if not isinstance(params, dict) or params.keys() != lookups.keys():
+            names = set(params) if isinstance(params, dict) else set()
+            raise JournalCorruptError(
+                seq,
+                f"trial-start params do not match the space (missing="
+                f"{sorted(lookups.keys() - names)}, extra={sorted(names - lookups.keys())})",
+            )
+        revived = {}
+        for name, value in params.items():
+            lookup = lookups[name]
+            if lookup is None:
+                try:
+                    revived[name] = float(value)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise JournalCorruptError(seq, f"parameter {name!r}: {exc}") from None
+            else:
+                try:
+                    match = lookup.get(value, value)
+                except TypeError:  # unhashable: a JSON list or object
+                    match = value
+                # an equal choice of another type (1 for True, 1 for 1.0) is no match
+                revived[name] = match if type(match) is type(value) else value
+        return revived
+
+    return revive

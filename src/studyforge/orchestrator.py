@@ -310,14 +310,13 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
                 ):
                     state["stop"] = True
 
-        def finish_terminal(trial, terminal_state):
+        def finish_terminal(trial, terminal_state, reason=None):
             with lock:
                 study.tell(trial.trial_id, state=terminal_state)
-                journal.append(
-                    journal_mod.KIND_TRIAL_END,
-                    trial_id=trial.trial_id,
-                    state=terminal_state.value,
-                )
+                end = {"trial_id": trial.trial_id, "state": terminal_state.value}
+                if reason is not None:
+                    end["reason"] = reason
+                journal.append(journal_mod.KIND_TRIAL_END, **end)
 
         def run_one(trial):
             def reporter(step, value):
@@ -341,8 +340,8 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
                 )
             except TrialPruned:
                 finish_terminal(trial, TrialState.PRUNED)
-            except DivergenceError:
-                finish_terminal(trial, TrialState.FAILED)
+            except DivergenceError as exc:
+                finish_terminal(trial, TrialState.FAILED, reason=str(exc))
             else:
                 finish_complete(trial, float(value), metrics)
 

@@ -193,12 +193,19 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_reports(journal_path, out_dir, fmt: str = "csv") -> list[Path]:
-    """Regenerate every derived artifact for one journal. Returns paths."""
+def write_reports(journal_path, out_dir, fmt: str = "csv", *, replayed=None) -> list[Path]:
+    """Regenerate every derived artifact for one journal. Returns paths.
+
+    ``replayed`` is ``(records, study)`` from `read_records` and
+    `study_from_records` when the caller has replayed the journal already;
+    by default the journal is read here.
+    """
     if fmt not in ("csv", "md"):
         raise ValueError(f"unknown report format {fmt!r}")
-    records = read_records(journal_path)
-    study = study_from_records(records)
+    if replayed is None:
+        records = read_records(journal_path)
+        replayed = records, study_from_records(records)
+    records, study = replayed
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     render = render_csv if fmt == "csv" else render_markdown

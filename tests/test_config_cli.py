@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import studyforge.cli as cli_mod
 import studyforge.config as config_mod
+import studyforge.journal as journal_mod
+import studyforge.reporting as reporting_mod
 from studyforge.cli import main
 from studyforge.config import (
     apply_overrides,
@@ -609,3 +612,100 @@ class TestJournalPins:
         raw = (tmp_path / "out" / "journal.jsonl").read_bytes()
         assert json.loads(raw.split(b"\n", 1)[0])["direction"] == direction
         assert hashlib.sha256(raw).hexdigest() == digest
+
+
+class TestReportReplay:
+    """`report` and `best` replay the journal once each, and write the bytes
+    they wrote when `report` replayed it twice."""
+
+    REPO = Path(__file__).resolve().parent.parent
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """Counts of journal parses and study rebuilds, under every name the
+        commands call them by."""
+        counts = {"parse": 0, "rebuild": 0}
+        real_parse = journal_mod._parse
+        real_rebuild = journal_mod.study_from_records
+
+        def parse(raw):
+            counts["parse"] += 1
+            return real_parse(raw)
+
+        def rebuild(records):
+            counts["rebuild"] += 1
+            return real_rebuild(records)
+
+        monkeypatch.setattr(journal_mod, "_parse", parse)
+        for module in (cli_mod, reporting_mod):
+            monkeypatch.setattr(module, "study_from_records", rebuild)
+        return counts
+
+    @pytest.mark.parametrize(
+        "command",
+        [["report"], ["report", "--format", "md"], ["best"]],
+    )
+    def test_each_command_replays_the_journal_once(self, tmp_path, capsys, replays, command):
+        config_path, out = write_quadratic_config(tmp_path)
+        assert main(["run", str(config_path)]) == 0
+        replays.update(parse=0, rebuild=0)
+        journal = str(out / "journal.jsonl")
+        assert main([command[0], journal, *command[1:]]) == 0
+        assert replays == {"parse": 1, "rebuild": 1}
+
+    def test_report_of_a_journal_without_completed_trials_replays_once(
+        self, tmp_path, capsys, replays
+    ):
+        journal = empty_journal(tmp_path)
+        assert main(["report", str(journal)]) == 0
+        assert "warning: journal has no completed trials" in capsys.readouterr().err
+        assert replays == {"parse": 1, "rebuild": 1}
+
+    # sha256 of every file `report` writes (in both formats) and of `best`'s
+    # stdout, recorded while `report` still replayed the journal twice
+    PINS = {
+        "tpe_sphere": {
+            "csv/history.svg": "dae85b49973596df846be4ccd118522646bdba5102203e79db7401f5d06478c2",
+            "csv/trials.csv": "178c029d815e0b58ab5114b700c120772e837659d39c02dd46debb1966be45e1",
+            "md/history.svg": "dae85b49973596df846be4ccd118522646bdba5102203e79db7401f5d06478c2",
+            "md/trials.md": "f58d4df4e5c4910ef424385b7ab02b29315fd3af3de852331d7c3642379dfef1",
+            "best": "a5fc44a1ee0aacac106204a14315c2587c975ecff872d23b6caf08897d211d0c",
+        },
+        "pruned_surrogate": {
+            "csv/confusion.csv": "cd2d003fba24a8ad75e984ac1f7d682ad254a50ac5cc3e240511cfa357da9b7c",
+            "csv/f1.csv": "00fbedfe65de3985a74259f9b55e5c0f98d645d17e5a2151088c80b2e929ab06",
+            "csv/history.svg": "c812a3b140d469cac67ca08d4e65f7d56c96ae6ceba6ef4b4929559ed2d4e34e",
+            "csv/summary_batch_size.csv": "cc14e3e0e9ee0b7082c079c4314815ce458b03e4910654e7e726ddc82548fb73",
+            "csv/trials.csv": "e602bacf2e78ce09f76e8fd190ccd8f8d1e566d5844dc1ccb5bb65eae9f0cc24",
+            "md/confusion.csv": "cd2d003fba24a8ad75e984ac1f7d682ad254a50ac5cc3e240511cfa357da9b7c",
+            "md/f1.csv": "00fbedfe65de3985a74259f9b55e5c0f98d645d17e5a2151088c80b2e929ab06",
+            "md/history.svg": "c812a3b140d469cac67ca08d4e65f7d56c96ae6ceba6ef4b4929559ed2d4e34e",
+            "md/summary_batch_size.md": "bbde827b90add96d41e654f1c7b960a77fa72a89321ff280fff082999f097de0",
+            "md/trials.md": "2ca3415312e9f1b617b8f22eaebd3c10174baae13db2d98e311a6b43756e64f8",
+            "best": "4fd44408200b34f27c9e0c380a74ff62519aa2106c77f5bb638e92cd8085d481",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "name, config, overrides",
+        [
+            ("tpe_sphere", "perfbench/configs/tpe_sphere.yaml", ["policy.n_trials=150"]),
+            ("pruned_surrogate", "configs/pruned_surrogate.yaml", []),
+        ],
+    )
+    def test_report_and_best_outputs_are_pinned(self, tmp_path, capsys, name, config, overrides):
+        argv = ["run", str(self.REPO / config), "--set", f"output_dir={tmp_path / 'run'}"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        journal = str(tmp_path / "run" / "journal.jsonl")
+        digests = {}
+        for fmt in ("csv", "md"):
+            target = tmp_path / fmt
+            assert main(["report", journal, "--format", fmt, "--out", str(target)]) == 0
+            for path in target.iterdir():
+                digests[f"{fmt}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        capsys.readouterr()
+        assert main(["best", journal]) == 0
+        digests["best"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == self.PINS[name]

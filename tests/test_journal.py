@@ -1,7 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from studyforge import journal as journal_mod
+from studyforge.cli import main
 from studyforge.errors import JournalCorruptError, JournalError
 from studyforge.journal import (
     KIND_CHECKPOINT,
@@ -14,7 +18,18 @@ from studyforge.journal import (
     resume_study,
     study_from_records,
 )
-from studyforge.study import SearchSpace, TrialState, boolean, int_categorical, uniform
+from studyforge.study import (
+    BOOLEAN,
+    CHOICE,
+    INT_CATEGORICAL,
+    Distribution,
+    SearchSpace,
+    TrialState,
+    boolean,
+    int_categorical,
+    log_uniform,
+    uniform,
+)
 
 from conftest import make_study
 
@@ -286,3 +301,229 @@ class TestStudyReconstruction:
         study = resume_study(path)
         assert len(study.trials) == 1
         assert study.trials[0].state is TrialState.COMPLETE
+
+
+def journal_with(path, start_params=None, end_state="complete"):
+    """A demo journal with one trial whose trial-start (seq 1) carries
+    ``start_params`` and whose trial-end (seq 2) carries ``end_state``."""
+    params = {"x": 0.5, "batch_size": 8, "hflip": False}
+    with Journal(path, meta=meta_for(demo_space())) as journal:
+        journal.append(KIND_TRIAL_START, trial_id=0, params=start_params or params)
+        journal.append(KIND_TRIAL_END, trial_id=0, state=end_state, final_value=0.5)
+    return path
+
+
+BAD_REPLAYS = {
+    "extra parameter": (
+        {"start_params": {"x": 0.5, "batch_size": 8, "hflip": False, "bogus": 1}},
+        1,
+        "extra=['bogus']",
+    ),
+    "missing parameter": (
+        {"start_params": {"x": 0.5, "hflip": False}},
+        1,
+        "missing=['batch_size']",
+    ),
+    "params not an object": ({"start_params": [0.5, 8, False]}, 1, "missing="),
+    "non-numeric float": (
+        {"start_params": {"x": "half", "batch_size": 8, "hflip": False}},
+        1,
+        "parameter 'x'",
+    ),
+    "unknown trial state": ({"end_state": "weird"}, 2, "'weird' is not a trial state"),
+}
+
+
+class TestReplayRejects:
+    """A record that parses but cannot be replayed names its sequence number,
+    and the commands that replay it report one line, not a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPLAYS))
+    def test_study_from_records_names_the_record(self, tmp_path, case):
+        kwargs, seq, message = BAD_REPLAYS[case]
+        path = journal_with(tmp_path / "study.jsonl", **kwargs)
+        with pytest.raises(JournalCorruptError) as exc_info:
+            resume_study(path)
+        assert exc_info.value.seq == seq
+        assert message in str(exc_info.value)
+
+    @pytest.mark.parametrize("command", ["best", "report"])
+    @pytest.mark.parametrize("case", sorted(BAD_REPLAYS))
+    def test_commands_print_a_one_line_diagnostic(self, tmp_path, capsys, case, command):
+        kwargs, seq, message = BAD_REPLAYS[case]
+        path = journal_with(tmp_path / "study.jsonl", **kwargs)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: record seq={seq}: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+
+def old_revive_params(space, params):
+    """`_revive_params` as it was before replays built a per-space map: the
+    reference the map must agree with."""
+    revived = {}
+    for name, value in params.items():
+        dist = space[name]
+        if dist.is_discrete:
+            matches = [c for c in dist.choices if c == value and type(c) is type(value)]
+            revived[name] = matches[0] if matches else value
+        else:
+            revived[name] = float(value)
+    return revived
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["1", " 2.5 ", "nan", "-inf", "1e400"]),
+)
+
+
+def twins(value):
+    """Values equal to ``value`` under == but of another JSON type."""
+    out = []
+    if isinstance(value, (bool, int)) or (isinstance(value, float) and value.is_integer()):
+        out = [int(value), float(value)]
+        if value in (0, 1):
+            out.append(bool(value))
+    return [v for v in out if type(v) is not type(value)]
+
+
+@st.composite
+def discrete_dists(draw):
+    kind = draw(st.sampled_from([INT_CATEGORICAL, CHOICE, BOOLEAN]))
+    if kind == BOOLEAN:
+        return boolean()
+    items = st.integers(-3, 3) if kind == INT_CATEGORICAL else SCALARS
+    choices = draw(st.lists(items, min_size=1, max_size=4))
+    # duplicate-free as the space requires: 1, 1.0 and True are one choice
+    unique = []
+    for c in choices:
+        if not any(c == u for u in unique) and c == c:
+            unique.append(c)
+    return Distribution(kind, choices=tuple(unique))
+
+
+@st.composite
+def spaces_and_params(draw):
+    n = draw(st.integers(1, 4))
+    entries = {}
+    for j in range(n):
+        entries[f"p{j}"] = draw(
+            st.one_of(st.just(uniform(0.0, 1.0)), st.just(log_uniform(0.01, 1.0)), discrete_dists())
+        )
+    space = SearchSpace(entries)
+    params = {}
+    for name in draw(st.permutations(list(entries))):
+        dist = entries[name]
+        options = [SCALARS, st.lists(st.integers(), max_size=2), st.just(10**400)]
+        if dist.is_discrete:
+            options.append(st.sampled_from(dist.choices))
+            options.append(st.sampled_from([t for c in dist.choices for t in twins(c)] or [None]))
+        params[name] = draw(st.one_of(*options))
+    return space, params
+
+
+class TestReviverMatchesOldRevive:
+    @settings(max_examples=300, deadline=None)
+    @given(spaces_and_params())
+    def test_per_space_map_equals_per_parameter_lookups(self, case):
+        space, params = case
+        revive = journal_mod._params_reviver(space)
+        try:
+            old = old_revive_params(space, params)
+        except (TypeError, ValueError, OverflowError):
+            with pytest.raises(JournalCorruptError) as exc_info:
+                revive(7, params)
+            assert exc_info.value.seq == 7
+            return
+        new = revive(7, params)
+        assert list(new) == list(old)
+        for name, value in old.items():
+            assert type(new[name]) is type(value)
+            if space[name].is_discrete:
+                assert new[name] is value  # the same choice object, or the value itself
+            else:
+                assert new[name] == value or (math.isnan(value) and math.isnan(new[name]))
+
+
+def old_parse(raw):
+    """`_parse` as it was before its fast path: one json.loads per line."""
+    end, ends, records = 0, [], []
+    lines = raw.split(b"\n")
+    if lines and lines[-1] == b"":
+        lines.pop()
+    for i, line in enumerate(lines):
+        try:
+            record = json.loads(line.decode("utf-8"))
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+            if record.get("seq") != len(records):
+                raise ValueError(f"expected seq {len(records)}, got {record.get('seq')}")
+            if record.get("kind") not in journal_mod._KINDS:
+                raise ValueError(f"unknown kind {record.get('kind')!r}")
+            if len(records) == 0 and record["kind"] != KIND_META:
+                raise ValueError("first record must be study-meta")
+        except (ValueError, UnicodeDecodeError) as exc:
+            if i == len(lines) - 1:
+                break
+            raise JournalCorruptError(len(records), str(exc)) from None
+        records.append(record)
+        end += len(line) + 1
+        ends.append(end)
+    return records, ends
+
+
+@st.composite
+def journal_bytes(draw):
+    """Journal-like bytes: numbered records, some of them wrapped in
+    whitespace, a BOM, trailing data, cut short, or replaced by garbage."""
+    lines = []
+    for seq in range(draw(st.integers(0, 5))):
+        kind = KIND_META if seq == 0 else draw(st.sampled_from([KIND_TRIAL_START, "note"]))
+        text = json.dumps({"seq": draw(st.sampled_from([seq, seq, seq, seq + 1])), "kind": kind})
+        text = draw(
+            st.sampled_from(
+                [
+                    text,
+                    text,
+                    " " + text,
+                    text + " \t",
+                    text + "\r",
+                    "\ufeff" + text,
+                    text + " {}",
+                    text + "x",
+                    text[: len(text) // 2],
+                    "",
+                    "5",
+                    "[1]",
+                    '"s"',
+                    "{",
+                    "NaN",
+                ]
+            )
+        )
+        line = text.encode("utf-8")
+        if draw(st.integers(0, 9)) == 0:
+            line += b"\xff"
+        lines.append(line)
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+
+
+class TestParseFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(journal_bytes())
+    def test_records_and_errors_match_json_loads_per_line(self, raw):
+        try:
+            expected = old_parse(raw)
+        except JournalCorruptError as exc:
+            with pytest.raises(JournalCorruptError) as exc_info:
+                journal_mod._parse(raw)
+            assert (exc_info.value.seq, str(exc_info.value)) == (exc.seq, str(exc))
+            return
+        assert journal_mod._parse(raw) == expected

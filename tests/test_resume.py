@@ -228,6 +228,14 @@ class TestResume:
             run_study(config, journal_path=path, resume=True)
             assert path.read_bytes() == raw, f"cut at byte {cut}"
 
+    def test_failed_trial_ends_record_the_divergence_reason(self, tmp_path, stepwise):
+        result = run_study(stepwise_config(tmp_path))
+        ends = [r for r in read_records(result.journal_path) if r["kind"] == KIND_TRIAL_END]
+        failed = [r for r in ends if r["state"] == "failed"]
+        assert failed
+        assert {r["reason"] for r in failed} == {"non-finite loss at epoch 1"}
+        assert not [r for r in ends if r["state"] != "failed" and "reason" in r]
+
     def test_resume_fsyncs_the_cut(self, tmp_path, stepwise):
         config = stepwise_config(tmp_path)
         raw = run_study(config).journal_path.read_bytes()
