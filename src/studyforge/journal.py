@@ -17,7 +17,7 @@ import json.scanner
 import os
 from pathlib import Path
 
-from .errors import JournalCorruptError, JournalError
+from .errors import JournalCorruptError, JournalError, StateError
 from .study import SearchSpace, Study, TrialRecord, TrialState
 
 KIND_META = "study-meta"
@@ -163,42 +163,53 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
 
 
 def study_from_records(records: list[dict]) -> Study:
-    """Rebuild the study state; trials left mid-flight become failed."""
+    """Rebuild the study state; trials left mid-flight become failed.
+
+    A record whose fields do not fit what replay reads from it (a missing
+    field, a field of the wrong type, a value the study refuses) raises
+    JournalCorruptError naming it; the study-meta record is seq 0.
+    """
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
-    meta = records[0]
-    study = Study(
-        space=SearchSpace.from_dict(meta["space"]),
-        direction=meta["direction"],
-        seed=int(meta["seed"]),
-    )
-    revive = _params_reviver(study.space)
-    for record in records[1:]:
-        kind = record["kind"]
-        if kind == KIND_TRIAL_START:
-            trial_id = record["trial_id"]
-            if trial_id != len(study.trials):
-                raise JournalCorruptError(
-                    record["seq"], f"trial-start id {trial_id} out of order"
+    record = records[0]
+    try:
+        study = Study(
+            space=SearchSpace.from_dict(record["space"]),
+            direction=record["direction"],
+            seed=int(record["seed"]),
+        )
+        revive = _params_reviver(study.space)
+        for record in records[1:]:
+            kind = record["kind"]
+            if kind == KIND_TRIAL_START:
+                trial_id = record["trial_id"]
+                if trial_id != len(study.trials):
+                    raise JournalCorruptError(
+                        record["seq"], f"trial-start id {trial_id} out of order"
+                    )
+                params = revive(record["seq"], record["params"])
+                study.trials.append(TrialRecord(trial_id=trial_id, params=params))
+            elif kind == KIND_INTERMEDIATE:
+                study.report_intermediate(
+                    record["trial_id"], int(record["step"]), float(record["value"])
                 )
-            params = revive(record["seq"], record["params"])
-            study.trials.append(TrialRecord(trial_id=trial_id, params=params))
-        elif kind == KIND_INTERMEDIATE:
-            study.report_intermediate(
-                record["trial_id"], int(record["step"]), float(record["value"])
-            )
-        elif kind == KIND_TRIAL_END:
-            name = record["state"]
-            state = _STATES.get(name) if isinstance(name, str) else None
-            if state is None:
-                raise JournalCorruptError(
-                    record["seq"], f"trial-end state {name!r} is not a trial state"
-                )
-            if state is TrialState.COMPLETE:
-                study.tell(record["trial_id"], float(record["final_value"]))
-            else:
-                study.tell(record["trial_id"], state=state)
-        # checkpoints carry no study state
+            elif kind == KIND_TRIAL_END:
+                name = record["state"]
+                state = _STATES.get(name) if isinstance(name, str) else None
+                if state is None:
+                    raise JournalCorruptError(
+                        record["seq"], f"trial-end state {name!r} is not a trial state"
+                    )
+                if state is TrialState.COMPLETE:
+                    study.tell(record["trial_id"], float(record["final_value"]))
+                else:
+                    study.tell(record["trial_id"], state=state)
+            # checkpoints carry no study state
+    # caught, not checked per record, so a clean replay pays nothing for it
+    except KeyError as exc:
+        raise JournalCorruptError(record["seq"], f"{record['kind']}: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError, AttributeError, StateError) as exc:
+        raise JournalCorruptError(record["seq"], f"{record['kind']}: {exc}") from None
     for trial in study.trials:
         if trial.state is TrialState.RUNNING:
             trial.state = TrialState.FAILED

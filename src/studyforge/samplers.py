@@ -25,6 +25,8 @@ from .study import (
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# |x| from which libm's math.erf(x) is exactly +-1.0 (it saturates at 5.92)
+_ERF_SATURATED = 6.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ class TpeConfig:
 
 @dataclass
 class ParzenEstimator:
-    """Truncated-Gaussian mixture over a bounded 1-D domain.
+    """Truncated-Gaussian mixture over a bounded 1-D domain, or d such
+    mixtures as rows.
 
     Lives entirely in its internal coordinate: natural-log space when
     is_log (domain and centers are then log-transformed). The density is
@@ -56,6 +59,10 @@ class ParzenEstimator:
     [low, high]. The per-component arithmetic runs over whole arrays in the
     order a per-component scalar loop would use, so every float equals that
     loop's bit for bit; erf is math.erf, as numpy has no erf of libm's bits.
+
+    With rows, the arrays are (d, k) and low, high and is_log hold one entry
+    per row; ``est[j]`` is row j as a one-row estimator, a view that
+    recomputes nothing.
     """
 
     centers: np.ndarray
@@ -73,25 +80,36 @@ class ParzenEstimator:
         self.centers = np.asarray(self.centers, dtype=float)
         self.bandwidths = np.asarray(self.bandwidths, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
+        # (d, 1) bounds against (d, k) rows; (1,) against one row
+        low, high = np.asarray(self.low)[..., None], np.asarray(self.high)[..., None]
         if (self.bandwidths <= 0).any() or (self.weights <= 0).any():
             raise ValidationError("bandwidths and weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if (abs(self.weights.sum(axis=-1) - 1.0) > 1e-12).any():
             raise ValidationError("weights must sum to 1")
-        if (self.centers < self.low).any() or (self.centers > self.high).any():
+        if (self.centers < low).any() or (self.centers > high).any():
             raise ValidationError("centers must lie within the domain")
-        # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) at beta (first n) and alpha
-        c, b, n = self.centers, self.bandwidths, len(self.centers)
-        x = np.concatenate(((self.high - c) / b, (self.low - c) / b)) / _SQRT2
-        cdf = 0.5 * (1.0 + np.fromiter(map(math.erf, x.tolist()), float, x.size))
-        self._log_trunc_mass = np.log(cdf[:n] - cdf[n:])
+        # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) at beta (first k) and alpha
+        c, b, k = self.centers, self.bandwidths, self.centers.shape[-1]
+        x = np.concatenate(((high - c) / b, (low - c) / b), axis=-1) / _SQRT2
+        # only the unsaturated arguments need the per-element call
+        erf = np.sign(x)
+        live = np.abs(x) < _ERF_SATURATED
+        erf[live] = np.fromiter(map(math.erf, x[live].tolist()), float)
+        cdf = 0.5 * (1.0 + erf)
+        self._log_trunc_mass = np.log(cdf[..., :k] - cdf[..., k:])
         self._log_scale = np.log(self.weights) - np.log(b) - _LOG_SQRT_2PI
+
+    def __getitem__(self, j: int) -> "ParzenEstimator":
+        row = object.__new__(ParzenEstimator)
+        row.__dict__ = {name: value[j] for name, value in vars(self).items()}
+        return row
 
 
 def fit_parzen(
     values,
-    low: float,
-    high: float,
-    is_log: bool = False,
+    low,
+    high,
+    is_log=False,
     cfg: TpeConfig = TpeConfig(),
 ) -> ParzenEstimator:
     """Fit the mixture: one component per observation plus a wide prior.
@@ -104,63 +122,92 @@ def fit_parzen(
     an early cluster and the suggestion loop stops migrating toward the
     optimum. The prior sits at the domain midpoint with bandwidth equal
     to the full width. All components share the uniform weight 1/(n+1).
+
+    ``values`` of shape (d, n), with one low, high and is_log per row,
+    fits d mixtures at once as the rows of one estimator; each row's
+    floats equal those of its own 1-D fit.
     """
-    if not (math.isfinite(low) and math.isfinite(high) and low < high):
-        raise ValidationError(f"invalid domain [{low}, {high}]")
-    values = np.asarray(values, dtype=float)
-    if not ((values >= low) & (values <= high)).all():
+    one_row = np.ndim(values) < 2
+    # C order, so each row is contiguous like the 1-D call's values
+    values = np.array(values, dtype=float, ndmin=2, order="C")
+    rows, n = values.shape
+    low, high = np.array(low, dtype=float, ndmin=1), np.array(high, dtype=float, ndmin=1)
+    is_log = np.array(is_log, dtype=bool, ndmin=1)
+    if not low.shape == high.shape == is_log.shape == (rows,):
+        raise ValidationError(f"{rows} rows of values need {rows} lows, highs and is_log flags")
+    for lo, hi in zip(low.tolist(), high.tolist()):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValidationError(f"invalid domain [{lo}, {hi}]")
+    if not ((values >= low[:, None]) & (values <= high[:, None])).all():
         raise ValidationError("observation outside domain")
-    if is_log:
-        if low <= 0:
+    for j in np.flatnonzero(is_log):
+        if low[j] <= 0:
             raise ValidationError("log domain requires low > 0")
         # math.log, not np.log: only libm's log is the scalar form's bits
-        values = np.fromiter(map(math.log, values.tolist()), float, values.size)
-        low, high = math.log(low), math.log(high)
+        values[j] = list(map(math.log, values[j].tolist()))
+        low[j], high[j] = math.log(low[j]), math.log(high[j])
 
     width = high - low
-    n = values.size
-    centers = np.concatenate(([low + width / 2.0], values))
-    bandwidths = np.full(n + 1, width)
+    centers = np.concatenate(((low + width / 2.0)[:, None], values), axis=1)
+    bandwidths = np.repeat(width[:, None], n + 1, axis=1)
     if n == 1:
-        bandwidths[1:] = width / 2.0
+        bandwidths[:, 1:] = (width / 2.0)[:, None]
     elif n > 1:
-        sd = float(np.std(values, ddof=1))
-        bandwidths[1:] = max(1.06 * sd * n ** (-0.2), width / min(100.0, n + 1.0))
-    return ParzenEstimator(
+        # one 1-D std per row, as a 1-D fit takes it: np.std(axis=1) of an
+        # F-ordered array sums in another order and differs in the last bit
+        for j, w in enumerate(width.tolist()):
+            sd = float(np.std(values[j], ddof=1))
+            bandwidths[j, 1:] = max(1.06 * sd * n ** (-0.2), w / min(100.0, n + 1.0))
+    est = ParzenEstimator(
         centers=centers,
         bandwidths=bandwidths,
-        weights=np.full(n + 1, 1.0 / (n + 1)),
+        weights=np.full((rows, n + 1), 1.0 / (n + 1)),
         low=low,
         high=high,
         is_log=is_log,
     )
+    return est[0] if one_row else est
 
 
 def parzen_logpdf(est: ParzenEstimator, x):
     """Log-density of the truncation-renormalized mixture at x.
 
     x is in the estimator's internal coordinate and must lie within
-    [est.low, est.high]; accepts a scalar or an array.
+    [est.low, est.high]; accepts a scalar or an array. For an estimator
+    with rows, x holds one row of points per mixture, scored row by row:
+    one (points, k) block at a time stays in cache, a (d, points, k) block
+    does not.
     """
     arr = np.asarray(x, dtype=float)
-    if (arr < est.low).any() or (arr > est.high).any():
+    low, high = np.asarray(est.low)[..., None], np.asarray(est.high)[..., None]
+    if (arr < low).any() or (arr > high).any():
         raise ValidationError("x outside estimator domain")
-    # log_scale - 0.5 * z * z - log_trunc_mass, in place, in that order
-    z = arr[..., None] - est.centers
-    z /= est.bandwidths
-    comp = 0.5 * z
-    comp *= z
-    np.subtract(est._log_scale, comp, out=comp)
-    comp -= est._log_trunc_mass
-    # logsumexp over the component axis
-    m = comp.max(axis=-1)
-    comp -= m[..., None]
-    out = m + np.log(np.exp(comp, out=comp).sum(axis=-1))
+    parts = (est.centers, est.bandwidths, est._log_scale, est._log_trunc_mass)
+    if est.centers.ndim == 2:
+        return np.array([_mixture_logpdf(*row) for row in zip(arr, *parts, strict=True)])
+    out = _mixture_logpdf(arr, *parts)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
+def _mixture_logpdf(x, centers, bandwidths, log_scale, log_trunc_mass):
+    # log_scale - 0.5 * z * z - log_trunc_mass, in place, in that order
+    z = x[..., None] - centers
+    z /= bandwidths
+    comp = 0.5 * z
+    comp *= z
+    np.subtract(log_scale, comp, out=comp)
+    comp -= log_trunc_mass
+    # logsumexp over the component axis
+    m = comp.max(axis=-1)
+    comp -= m[..., None]
+    return m + np.log(np.exp(comp, out=comp).sum(axis=-1))
+
+
 def parzen_sample(est: ParzenEstimator, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    """Draw from the mixture by component choice + in-domain rejection."""
+    """Draw from the mixture by component choice + in-domain rejection;
+    from an estimator with rows, ``size`` draws per row, row after row."""
+    if est.centers.ndim == 2:
+        return np.array([parzen_sample(est[j], rng, size) for j in range(len(est.centers))])
     idx = _choice(rng, est.weights, size)
     mu = est.centers[idx]
     sigma = est.bandwidths[idx]
@@ -276,22 +323,32 @@ def tpe_suggest(
 
     good = tpe_split_observations(history.values, study.direction, cfg)
     bad = ~good
-    params = {}
-    for name, dist in study.space.entries.items():
-        column = history.column(name)
-        good_vals, bad_vals = column[good], column[bad]
+    entries = study.space.entries
+    # every continuous parameter is a row of one good fit and one bad fit
+    continuous = [(name, dist) for name, dist in entries.items() if not dist.is_discrete]
+    if continuous:
+        columns = np.array([history.column(name) for name, _ in continuous])
+        lows, highs, logs = zip(*((d.low, d.high, d.is_log) for _, d in continuous))
+        l_est = fit_parzen(columns[:, good], lows, highs, logs, cfg)
+        g_est = fit_parzen(columns[:, bad], lows, highs, logs, cfg)
+    # draws in space order, continuous rows interleaved with discrete choices
+    params = dict.fromkeys(entries)
+    cands = []
+    for name, dist in entries.items():
         if dist.is_discrete:
-            w_good = _categorical_weights(good_vals, len(dist.choices), cfg.prior_weight)
-            w_bad = _categorical_weights(bad_vals, len(dist.choices), cfg.prior_weight)
+            column = history.column(name)
+            w_good = _categorical_weights(column[good], len(dist.choices), cfg.prior_weight)
+            w_bad = _categorical_weights(column[bad], len(dist.choices), cfg.prior_weight)
             cand_idx = _choice(rng, w_good, cfg.n_candidates)
             scores = np.log(w_good[cand_idx]) - np.log(w_bad[cand_idx])
             params[name] = dist.choices[int(cand_idx[int(np.argmax(scores))])]
         else:
-            l_est = fit_parzen(good_vals, dist.low, dist.high, dist.is_log, cfg)
-            g_est = fit_parzen(bad_vals, dist.low, dist.high, dist.is_log, cfg)
-            cand = parzen_sample(l_est, rng, size=cfg.n_candidates)
-            scores = parzen_logpdf(l_est, cand) - parzen_logpdf(g_est, cand)
-            best = float(cand[int(np.argmax(scores))])
+            cands.append(parzen_sample(l_est[len(cands)], rng, size=cfg.n_candidates))
+    if continuous:
+        cand = np.array(cands)
+        scores = parzen_logpdf(l_est, cand) - parzen_logpdf(g_est, cand)
+        for (name, dist), row, score in zip(continuous, cand, scores):
+            best = float(row[int(np.argmax(score))])
             if dist.is_log:
                 best = math.exp(best)
             params[name] = min(max(best, dist.low), dist.high)

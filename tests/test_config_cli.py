@@ -598,6 +598,16 @@ class TestJournalPins:
                 "maximize",
                 "354872ab5198c8536f5953049029f048efd740cd137ab891eb576b420335d342",
             ),
+            # six continuous parameters among three discrete ones: pins the
+            # RNG order of draws that interleave the continuous rows of one
+            # Parzen fit with discrete choices (recorded with one fit per
+            # parameter per ask)
+            (
+                "configs/default.yaml",
+                ["epochs=1"],
+                "maximize",
+                "6ffd0a85028c8e48e69c0f33695e10ae9b7c3ea3f5ffc5698af34fdc32bd2028",
+            ),
         ],
     )
     def test_journal_is_pinned(self, tmp_path, monkeypatch, config, overrides, direction, digest):

@@ -334,6 +334,31 @@ BAD_REPLAYS = {
 }
 
 
+def edited_journal(path, seq, edit):
+    """`journal_with`'s journal after ``edit`` changed record ``seq`` in place."""
+    journal_with(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[seq])
+    edit(record)
+    lines[seq] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# hand edits whose fields replay reads without checking: each raised a
+# TypeError or KeyError from deep inside the replay before it was caught
+HAND_EDITS = {
+    "space entry not an object": (0, lambda r: r["space"].update(bogus=1), "study-meta: "),
+    "trial-start without params": (1, lambda r: r.pop("params"), "missing field 'params'"),
+    "trial-end without final_value": (
+        2,
+        lambda r: r.pop("final_value"),
+        "missing field 'final_value'",
+    ),
+    "string trial_id": (2, lambda r: r.update(trial_id="0"), "trial-end: "),
+}
+
+
 class TestReplayRejects:
     """A record that parses but cannot be replayed names its sequence number,
     and the commands that replay it report one line, not a traceback."""
@@ -358,6 +383,21 @@ class TestReplayRejects:
         assert captured.err.startswith(f"error: record seq={seq}: ")
         assert captured.err.count("\n") == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize("command", ["best", "report"])
+    @pytest.mark.parametrize("case", sorted(HAND_EDITS))
+    def test_hand_edited_field_names_its_record(self, tmp_path, capsys, case, command):
+        seq, edit, message = HAND_EDITS[case]
+        path = edited_journal(tmp_path / "study.jsonl", seq, edit)
+        with pytest.raises(JournalCorruptError) as exc_info:
+            resume_study(path)
+        assert exc_info.value.seq == seq
+        assert message in str(exc_info.value)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: record seq={seq}: ")
+        assert captured.err.count("\n") == 1
 
 
 def old_revive_params(space, params):
@@ -399,12 +439,13 @@ def discrete_dists(draw):
     kind = draw(st.sampled_from([INT_CATEGORICAL, CHOICE, BOOLEAN]))
     if kind == BOOLEAN:
         return boolean()
-    items = st.integers(-3, 3) if kind == INT_CATEGORICAL else SCALARS
+    # no NaN: it equals no choice, so a list of NaNs would leave no choices
+    items = st.integers(-3, 3) if kind == INT_CATEGORICAL else SCALARS.filter(lambda c: c == c)
     choices = draw(st.lists(items, min_size=1, max_size=4))
     # duplicate-free as the space requires: 1, 1.0 and True are one choice
     unique = []
     for c in choices:
-        if not any(c == u for u in unique) and c == c:
+        if not any(c == u for u in unique):
             unique.append(c)
     return Distribution(kind, choices=tuple(unique))
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.stats import truncnorm
 
@@ -14,6 +14,7 @@ from studyforge.samplers import (
     RandomSampler,
     TpeConfig,
     TpeSampler,
+    _ERF_SATURATED,
     _choice,
     fit_parzen,
     grid_enumerate,
@@ -462,6 +463,109 @@ class TestParzenBitIdentity:
         assume(abs(weights.sum() - 1.0) <= 1e-12)
         est = ParzenEstimator(centers, bandwidths, weights, low, high)
         assert est._log_trunc_mass.tobytes() == _scalar_log_trunc_mass(est).tobytes()
+
+
+def _scalar_bandwidths(est) -> list:
+    """A fit's bandwidths from its own centers, by the 1-D formula."""
+    n, width = len(est.centers) - 1, est.high - est.low
+    if n < 2:
+        return [width] + [width / 2.0] * n
+    sd = float(np.std(np.array(est.centers[1:]), ddof=1))
+    return [width] + [max(1.06 * sd * n ** (-0.2), width / min(100.0, n + 1.0))] * n
+
+
+@st.composite
+def parzen_rows(draw):
+    """d rows of n observations each, log and linear, spread out or packed
+    into a cluster: packed clusters away from the edges push the
+    truncation-mass arguments of their components past erf's saturation."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.sampled_from([0, 1, 2, 8, 30, 100, 300]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values, lows, highs, logs = [], [], [], []
+    for _ in range(d):
+        is_log = draw(st.booleans())
+        if is_log:
+            low = draw(st.floats(min_value=1e-6, max_value=10.0))
+            high = low * draw(st.floats(min_value=1.5, max_value=1e4))
+        else:
+            low = draw(st.floats(min_value=-1e3, max_value=1e3))
+            high = low + draw(st.floats(min_value=1e-3, max_value=1e3))
+        assume(low < high)
+        spread = draw(st.sampled_from([1.0, 1e-2, 1e-6]))
+        fractions = np.clip(rng.uniform() + spread * rng.standard_normal(n), 0.0, 1.0)
+        values.append(np.clip(low + fractions * (high - low), low, high))
+        lows.append(low)
+        highs.append(high)
+        logs.append(is_log)
+    return np.array(values).reshape(d, n), lows, highs, logs
+
+
+class TestParzenRows:
+    """A fit of d rows equals d one-row fits bit for bit, and so do its
+    densities and its draws."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=parzen_rows(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_row_fit_equals_one_row_fits(self, case, seed):
+        values, lows, highs, logs = case
+        est = fit_parzen(values, lows, highs, logs)
+        singles = [fit_parzen(*row) for row in zip(values, lows, highs, logs)]
+        assert est.centers.shape == (len(values), values.shape[1] + 1)
+        for j, one in enumerate(singles):
+            assert one.centers.shape == (values.shape[1] + 1,)
+            row = est[j]
+            for name in ("centers", "bandwidths", "weights", "_log_trunc_mass", "_log_scale"):
+                assert getattr(row, name).tobytes() == getattr(one, name).tobytes()
+            assert (row.low, row.high, row.is_log) == (one.low, one.high, one.is_log)
+            # the erf shortcut against math.erf on every argument, and the
+            # bandwidths against one 1-D np.std of the row
+            assert one._log_trunc_mass.tobytes() == _scalar_log_trunc_mass(one).tobytes()
+            assert one.bandwidths.tolist() == _scalar_bandwidths(one)
+        rng = np.random.default_rng(seed)
+        xs = np.array([rng.uniform(one.low, one.high, size=24) for one in singles])
+        xs = np.clip(xs, est.low[:, None], est.high[:, None])
+        rows = parzen_logpdf(est, xs)
+        assert rows.tobytes() == np.array([parzen_logpdf(o, x) for o, x in zip(singles, xs)]).tobytes()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = parzen_sample(est, ours, size=5)
+        assert drawn.tobytes() == np.array([parzen_sample(o, theirs, size=5) for o in singles]).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_cases_reach_both_sides_of_saturation(self):
+        # a packed cluster mid-domain at n=300: the prior's arguments are
+        # live, most of the observations' are saturated
+        est = fit_parzen(np.full((1, 300), 0.5), [0.0], [1.0], [False])
+        c, b = est.centers, est.bandwidths
+        x = np.abs(np.concatenate(((1.0 - c) / b, (0.0 - c) / b), axis=-1)) / math.sqrt(2.0)
+        assert 0 < (x >= _ERF_SATURATED).mean() < 1
+
+    def test_row_logpdf_checks_each_rows_domain(self):
+        est = fit_parzen([[0.5, 0.6], [5.0, 6.0]], [0.0, 0.0], [1.0, 10.0], [False, False])
+        parzen_logpdf(est, [[0.5], [9.0]])
+        with pytest.raises(ValidationError):
+            parzen_logpdf(est, [[0.5], [10.5]])
+        with pytest.raises(ValidationError):
+            parzen_logpdf(est, [[1.5], [9.0]])
+
+    def test_row_fit_checks_each_row(self):
+        with pytest.raises(ValidationError, match="invalid domain"):
+            fit_parzen([[0.5], [0.5]], [0.0, 1.0], [1.0, 1.0], [False, False])
+        with pytest.raises(ValidationError, match="outside domain"):
+            fit_parzen([[0.5], [1.5]], [0.0, 0.0], [1.0, 1.0], [False, False])
+        with pytest.raises(ValidationError, match="low > 0"):
+            fit_parzen([[0.5], [0.5]], [0.0, 0.0], [1.0, 1.0], [False, True])
+        with pytest.raises(ValidationError, match="2 rows of values need 2 lows"):
+            fit_parzen([[0.5], [0.5]], [0.0], [1.0], [False])
+
+    @given(x=st.floats(min_value=_ERF_SATURATED))
+    @example(x=_ERF_SATURATED)
+    @example(x=math.inf)
+    def test_erf_is_exactly_one_where_the_shortcut_starts(self, x):
+        # the premise of skipping math.erf from |x| >= _ERF_SATURATED, checked
+        # against the libm of the platform that runs the suite
+        assert math.erf(x) == 1.0
+        assert math.erf(-x) == -1.0
 
 
 def _mixed_space():
