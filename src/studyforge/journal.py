@@ -35,8 +35,8 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
 class Journal:
-    """Writer handle that assigns sequence numbers. It takes no lock: the
-    orchestrator, its one writer, appends only under its coordinator lock.
+    """Writer handle that assigns sequence numbers. It takes no lock: its
+    one writer is the orchestrator's serial trial loop.
 
     With ``meta`` a new journal is written; without it the existing file is
     reopened after cutting it back to its first ``keep`` durable records

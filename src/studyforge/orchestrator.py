@@ -1,26 +1,22 @@
 """Study runner: ask -> objective -> report/prune -> tell, with journaling.
 
-One coordinator owns the study and journal; objectives may execute on up
-to min(max_parallel, n_trials, CPU count) worker threads, but every study
-mutation and journal append happens under the coordinator lock, so
-samplers always see a consistent history snapshot. Threshold policy: once
-a completed value meets save_threshold and improves on the prior best, a
-checkpoint record is written; once a completed value meets
-stop_threshold, no further trials start. Runs are bitwise deterministic for max_parallel = 1.
+Trials run one at a time in one loop that owns the study and the journal,
+so each ask sees every earlier trial's outcome and every run of a config
+writes the same journal bytes. Threshold policy: once a completed value
+meets save_threshold and improves on the prior best, a checkpoint record
+is written; once a completed value meets stop_threshold, no further
+trials start.
 
 A resumed run keeps the journal's closed trials, cuts back before the
 first trial still in flight and continues from its id; per-trial RNG
-streams are keyed on [seed, trial_id, lane], so a single-worker run that
-is interrupted and resumed writes the same bytes as one that is not.
+streams are keyed on [seed, trial_id, lane], so a run that is interrupted
+and resumed writes the same bytes as one that is not.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -32,6 +28,7 @@ from .augment import read_pgm, resize_to
 from .errors import (
     DivergenceError,
     ExhaustedSearchError,
+    JournalCorruptError,
     JournalError,
     TrialPruned,
     ValidationError,
@@ -65,7 +62,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """Trial budget plus the save/stop thresholds and worker count."""
+    """Trial budget plus the save/stop thresholds.
+
+    ``max_parallel`` accepts any value >= 1 and enters the config hash, but
+    trials always run one at a time.
+    """
 
     n_trials: int = 20
     save_threshold: float | None = None
@@ -177,12 +178,16 @@ def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
     A trial is closed by its trial-end and, when that end earned a
     checkpoint, by the checkpoint right after it. The prefix stops before
     the first trial that is not closed, and before any trial whose records
-    run past that point (worker threads interleave trials).
+    run past that point (journals from older two-worker runs interleave
+    trials). Replay the records first: the only field it checks is each
+    record's trial id, which replay does not read from a checkpoint.
     """
     start, last, closed = {}, {}, set()
     best = None
     for i, record in enumerate(records[1:], 1):
-        trial_id = record["trial_id"]
+        trial_id = record.get("trial_id")
+        if type(trial_id) is not int:
+            raise JournalCorruptError(i, f"{record['kind']}: trial_id {trial_id!r} is not an int")
         start.setdefault(trial_id, i)
         last[trial_id] = i
         if record["kind"] != journal_mod.KIND_TRIAL_END:
@@ -190,7 +195,7 @@ def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
         if record["state"] != TrialState.COMPLETE.value:
             closed.add(trial_id)
             continue
-        value = record["final_value"]
+        value = float(record["final_value"])
         improves = is_improvement(direction, value, best)
         due = (
             improves
@@ -220,6 +225,7 @@ def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bo
             f"{path} was written by another config (config_hash "
             f"{str(records[0].get('config_hash'))[:12]}, this config {meta['config_hash'][:12]})"
         )
+    study_from_records(records)  # refuses a record it cannot replay, before any cut
     keep = closed_prefix(records, config.direction, config.policy.save_threshold)
     study = study_from_records(records[:keep])
     return Journal(path, keep=keep, contents=contents), study
@@ -253,110 +259,61 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
 
     journal, study = _open_journal(journal_path, meta, config, resume)
     completed = [t.final_value for t in study.completed_trials()]
-    lock = threading.Lock()
-    state = {
-        "asked": len(study.trials),
-        "stop": policy.stop_threshold is not None
-        and any(meets_threshold(direction, v, policy.stop_threshold) for v in completed),
-        "best_completed": study.best_trial().final_value if completed else None,
-    }
+    stop = policy.stop_threshold is not None and any(
+        meets_threshold(direction, v, policy.stop_threshold) for v in completed
+    )
+    best_value = study.best_trial().final_value if completed else None
 
     with journal:
+        while not stop and len(study.trials) < policy.n_trials:
+            try:
+                trial = study.ask(sampler)
+            except ExhaustedSearchError:
+                break
+            trial_id = trial.trial_id
+            journal.append(journal_mod.KIND_TRIAL_START, trial_id=trial_id, params=trial.params)
 
-        def start_trial():
-            """Coordinator step: returns the new trial or None when done."""
-            with lock:
-                if state["stop"] or state["asked"] >= policy.n_trials:
-                    return None
-                try:
-                    trial = study.ask(sampler)
-                except ExhaustedSearchError:
-                    state["stop"] = True
-                    return None
-                state["asked"] += 1
-                journal.append(
-                    journal_mod.KIND_TRIAL_START,
-                    trial_id=trial.trial_id,
-                    params=trial.params,
-                )
-                return trial
-
-        def finish_complete(trial, value, metrics):
-            with lock:
-                study.tell(trial.trial_id, value)
-                end = {
-                    "trial_id": trial.trial_id,
-                    "state": TrialState.COMPLETE.value,
-                    "final_value": value,
-                }
-                if metrics is not None:
-                    end["metrics"] = metrics
-                journal.append(journal_mod.KIND_TRIAL_END, **end)
-                if (
-                    policy.save_threshold is not None
-                    and meets_threshold(direction, value, policy.save_threshold)
-                    and is_improvement(direction, value, state["best_completed"])
-                ):
-                    journal.append(
-                        journal_mod.KIND_CHECKPOINT,
-                        trial_id=trial.trial_id,
-                        value=value,
-                        best_params=trial.params,
-                    )
-                if is_improvement(direction, value, state["best_completed"]):
-                    state["best_completed"] = value
-                if policy.stop_threshold is not None and meets_threshold(
-                    direction, value, policy.stop_threshold
-                ):
-                    state["stop"] = True
-
-        def finish_terminal(trial, terminal_state, reason=None):
-            with lock:
-                study.tell(trial.trial_id, state=terminal_state)
-                end = {"trial_id": trial.trial_id, "state": terminal_state.value}
-                if reason is not None:
-                    end["reason"] = reason
-                journal.append(journal_mod.KIND_TRIAL_END, **end)
-
-        def run_one(trial):
             def reporter(step, value):
-                with lock:
-                    study.report_intermediate(trial.trial_id, step, value)
-                    journal.append(
-                        journal_mod.KIND_INTERMEDIATE,
-                        trial_id=trial.trial_id,
-                        step=step,
-                        value=value,
-                    )
-                    prune = config.pruner is not None and should_prune(
-                        study, trial.trial_id, step, config.pruner
-                    )
-                if prune:
+                study.report_intermediate(trial_id, step, value)
+                journal.append(
+                    journal_mod.KIND_INTERMEDIATE, trial_id=trial_id, step=step, value=value
+                )
+                if config.pruner is not None and should_prune(
+                    study, trial_id, step, config.pruner
+                ):
                     raise TrialPruned()
 
             try:
-                value, metrics = objective(
-                    trial.params, reporter, [study.seed, trial.trial_id, 1]
-                )
+                value, metrics = objective(trial.params, reporter, [study.seed, trial_id, 1])
             except TrialPruned:
-                finish_terminal(trial, TrialState.PRUNED)
+                study.tell(trial_id, state=TrialState.PRUNED)
+                end = {"state": TrialState.PRUNED.value}
             except DivergenceError as exc:
-                finish_terminal(trial, TrialState.FAILED, reason=str(exc))
+                study.tell(trial_id, state=TrialState.FAILED)
+                end = {"state": TrialState.FAILED.value, "reason": str(exc)}
             else:
-                finish_complete(trial, float(value), metrics)
-
-        def worker():
-            while (trial := start_trial()) is not None:
-                run_one(trial)
-
-        workers = min(policy.max_parallel, policy.n_trials, os.cpu_count() or 1)
-        if workers == 1:
-            worker()
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(worker) for _ in range(workers)]
-                for f in futures:
-                    f.result()
+                value = float(value)
+                study.tell(trial_id, value)
+                end = {"state": TrialState.COMPLETE.value, "final_value": value}
+                if metrics is not None:
+                    end["metrics"] = metrics
+            journal.append(journal_mod.KIND_TRIAL_END, trial_id=trial_id, **end)
+            if trial.state is not TrialState.COMPLETE:
+                continue
+            if is_improvement(direction, value, best_value):
+                if policy.save_threshold is not None and meets_threshold(
+                    direction, value, policy.save_threshold
+                ):
+                    journal.append(
+                        journal_mod.KIND_CHECKPOINT,
+                        trial_id=trial_id,
+                        value=value,
+                        best_params=trial.params,
+                    )
+                best_value = value
+            stop = policy.stop_threshold is not None and meets_threshold(
+                direction, value, policy.stop_threshold
+            )
 
     best = None
     if study.completed_trials():

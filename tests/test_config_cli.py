@@ -403,6 +403,33 @@ class TestCliRun:
         assert "another config" in capsys.readouterr().err
         assert journal.read_bytes() == cut
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda r: r.update(trial_id="0"), lambda r: r.pop("final_value")],
+        ids=["string trial_id", "trial-end without final_value"],
+    )
+    def test_resume_refuses_a_hand_edited_record_and_keeps_its_journal(
+        self, tmp_path, capsys, edit
+    ):
+        # trial 0's trial-end is seq 2
+        argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
+        assert main(argv) == 0
+        journal = tmp_path / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        record = json.loads(lines[2])
+        assert record["kind"] == "trial-end"
+        edit(record)
+        lines[2] = json.dumps(record)
+        journal.write_text("\n".join(lines) + "\n")
+        edited = journal.read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: record seq=2: ")
+        assert captured.err.count("\n") == 1
+        assert journal.read_bytes() == edited
+
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         config_path, out = write_quadratic_config(tmp_path)
         monkeypatch.setenv("STUDYFORGE_SEED", "77")

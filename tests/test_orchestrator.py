@@ -1,9 +1,6 @@
 import hashlib
 import json
-import sys
 import threading
-from concurrent.futures import Future
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +14,7 @@ from studyforge.config import (
     parse_config,
 )
 from studyforge.errors import ValidationError
-from studyforge.journal import Journal, read_records, resume_study
+from studyforge.journal import read_records, resume_study
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.orchestrator import (
     RunPolicy,
@@ -173,65 +170,27 @@ class TestRunStudyBenchmark:
         resumed = resume_study(result.journal_path)
         assert len(resumed.completed_trials()) == 12
 
-    def test_two_workers_append_only_under_the_coordinator_lock(self, tmp_path, monkeypatch):
-        # Journal takes no lock of its own: the coordinator's must be held,
-        # by the appending thread, at every append after the study-meta
-        # record, which the journal writes before any worker starts
-        locks, unlocked, threads = [], [], set()
+    def test_any_max_parallel_runs_serially_to_the_same_records(self, tmp_path, monkeypatch):
+        def no_threads(thread):
+            raise AssertionError(f"run_study started thread {thread.name}")
 
-        class OwnedLock:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.owner = None
-                locks.append(self)
-
-            def __enter__(self):
-                self._lock.acquire()
-                self.owner = threading.get_ident()
-
-            def __exit__(self, *exc):
-                self.owner = None
-                self._lock.release()
-
-        real_append = Journal.append
-
-        def append(journal, kind, **payload):
-            threads.add(threading.get_ident())
-            if kind == "study-meta":
-                assert not locks
-            elif len(locks) != 1 or locks[0].owner != threading.get_ident():
-                unlocked.append((kind, payload.get("trial_id")))
-            return real_append(journal, kind, **payload)
-
-        # the first two trials meet at a barrier, so both workers are in flight
-        both_running = threading.Barrier(2, timeout=30)
-
-        def build_objective(config):
-            def objective(params, reporter, seed):
-                reporter(0, params["x"])
-                if seed[1] < 2:
-                    both_running.wait()
-                reporter(1, params["x"] / 2)
-                return params["x"] ** 2, None
-
-            return objective
-
-        monkeypatch.setattr(orchestrator, "build_objective", build_objective)
-        monkeypatch.setattr(orchestrator, "threading", SimpleNamespace(Lock=OwnedLock))
-        monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(Journal, "append", append)
-        policy = RunPolicy(n_trials=200, max_parallel=2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, inside appends too
-        try:
-            result = run_study(quadratic_config(tmp_path, policy=policy))
-        finally:
-            sys.setswitchinterval(interval)
-        records = read_records(result.journal_path)
-        assert unlocked == []
-        assert len(threads - {threading.get_ident()}) == 2
-        assert [r["seq"] for r in records] == list(range(len(records)))
-        assert len([r for r in records if r["kind"] == "trial-end"]) == 200
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        journals = []
+        for max_parallel in (1, 2):
+            config = surrogate_config(
+                tmp_path,
+                space=SearchSpace({"lr": log_uniform(1e-7, 1e-3)}),
+                epochs=5,
+                pruner=PrunerConfig(warmup_steps=1, min_completed=2),
+                policy=RunPolicy(n_trials=10, save_threshold=0.7, max_parallel=max_parallel),
+            )
+            journals.append(read_records(run_study(config).journal_path))
+        serial, parallel = journals
+        kinds = {r["kind"] for r in serial}
+        states = {r["state"] for r in serial if r["kind"] == "trial-end"}
+        assert {"intermediate", "checkpoint"} <= kinds and {"pruned", "complete"} <= states
+        assert parallel[1:] == serial[1:]
+        assert {k for k in serial[0] if serial[0][k] != parallel[0][k]} == {"config_hash"}
 
     def test_explicit_journal_path_wins(self, tmp_path):
         path = tmp_path / "elsewhere" / "log.jsonl"
@@ -244,61 +203,6 @@ class TestRunStudyBenchmark:
         first = run_study(config).journal_path.read_bytes()
         second = run_study(config).journal_path.read_bytes()
         assert first == second
-
-
-class FakeExecutor:
-    """Stands in for ThreadPoolExecutor: records its size and runs each
-    submitted function inline, so no thread starts."""
-
-    instances = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.submitted = 0
-        FakeExecutor.instances.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn):
-        self.submitted += 1
-        future = Future()
-        future.set_result(fn())
-        return future
-
-
-class TestWorkerCount:
-    @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        FakeExecutor.instances = []
-        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", FakeExecutor)
-        return FakeExecutor.instances
-
-    @pytest.mark.parametrize(
-        "n_trials, max_parallel, cpus, expected",
-        [
-            (3, 1_000_000, 64, 3),
-            (10, 1_000_000, 4, 4),
-            (10, 2, 4, 2),
-            (10, 8, None, 1),
-            (1, 8, 4, 1),
-            (10, 1, 4, 1),
-        ],
-    )
-    def test_workers_bounded_by_trials_and_cpus(
-        self, tmp_path, monkeypatch, fake_pool, n_trials, max_parallel, cpus, expected
-    ):
-        monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: cpus)
-        policy = RunPolicy(n_trials=n_trials, max_parallel=max_parallel)
-        result = run_study(quadratic_config(tmp_path, policy=policy))
-        assert len(result.study.completed_trials()) == n_trials
-        if expected == 1:
-            assert fake_pool == []
-        else:
-            assert [(p.max_workers, p.submitted) for p in fake_pool] == [(expected, expected)]
 
 
 class TestRunStudySurrogate:

@@ -10,7 +10,7 @@ import pytest
 from studyforge import journal as journal_mod
 from studyforge import orchestrator
 from studyforge.config import ExperimentConfig, SamplerSpec
-from studyforge.errors import DivergenceError, JournalError
+from studyforge.errors import DivergenceError, JournalCorruptError, JournalError
 from studyforge.journal import (
     KIND_CHECKPOINT,
     KIND_INTERMEDIATE,
@@ -200,6 +200,20 @@ class TestClosedPrefix:
             (KIND_TRIAL_END, 2, {"state": "failed"}),
         )
         assert closed_prefix(records, "maximize", None) == 1
+
+
+    @pytest.mark.parametrize("trial_id", [None, [0], "0", True])
+    def test_a_checkpoint_without_an_int_trial_id_is_refused(self, trial_id):
+        # replay skips checkpoints, so this field is checked here
+        records = self.records(
+            (KIND_TRIAL_START, 0, {}),
+            (KIND_TRIAL_END, 0, {"state": "complete", "final_value": 0.01}),
+            (KIND_CHECKPOINT, trial_id, {}),
+        )
+        if trial_id is None:
+            del records[3]["trial_id"]
+        with pytest.raises(JournalCorruptError, match="seq=3: checkpoint: trial_id"):
+            closed_prefix(records, "minimize", 0.05)
 
 
 class TestResume:
