@@ -1,14 +1,17 @@
 """Experiment configuration: strict YAML parsing, overrides, round-trip.
 
 Unknown keys are rejected with their full dot path so typos fail loudly
-instead of silently falling back to defaults. parse_config is pure text
-in, config out; the seed env override is applied by the CLI layer.
+instead of silently falling back to defaults. The keys of a section
+(sampler.tpe, pruner, policy, synthetic) are the fields of its dataclass,
+which both parsing and ``serialize_config`` walk, so a new field is a
+config key and enters ``config_hash`` with no edit here. parse_config is
+pure text in, config out; the seed env override is applied by the CLI layer.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -170,7 +173,9 @@ def _parse_space(node, path: str) -> SearchSpace:
 
 
 def _check_surrogate_space(space: SearchSpace) -> None:
-    """Surrogate objectives only understand the fixed hyperparameter names."""
+    """Surrogate objectives only understand the fixed hyperparameter names,
+    and every value a sampler can draw (both ends of a range, each choice)
+    must suit the one it is drawn for."""
     bounds = {
         "dropout": (0.0, 0.2),
         "scale": (0.0, 1.0),
@@ -185,20 +190,25 @@ def _check_surrogate_space(space: SearchSpace) -> None:
                 f"not a surrogate hyperparameter (expected one of {sorted(SURROGATE_PARAMS)})",
                 path=path,
             )
-        if name == "lr" and dist.kind in (UNIFORM, LOG_UNIFORM) and dist.low <= 0:
-            raise ConfigError("lr must be positive", path=path)
         if name == "batch_size":
             if dist.kind not in (INT_CATEGORICAL, CHOICE):
                 raise ConfigError("batch_size must be categorical", path=path)
             if any((not isinstance(c, int)) or c < 1 for c in dist.choices):
                 raise ConfigError("batch_size choices must be positive ints", path=path)
-        if name in bounds and dist.kind in (UNIFORM, LOG_UNIFORM):
+        if isinstance(DEFAULT_HP[name], bool):
+            continue
+        values = dist.choices if dist.is_discrete else (dist.low, dist.high)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise ConfigError(f"{name} choices must be numbers", path=path)
+        if name == "lr" and min(values) <= 0:
+            raise ConfigError("lr must be positive", path=path)
+        if name in bounds:
             lo, hi = bounds[name]
-            if dist.low < lo or dist.high > hi:
+            if min(values) < lo or max(values) > hi:
                 raise ConfigError(
                     f"bounds must stay within [{lo}, {hi}]", path=path
                 )
-        if name == "scale" and dist.kind in (UNIFORM, LOG_UNIFORM) and dist.high >= 1.0:
+        if name == "scale" and max(values) >= 1.0:
             raise ConfigError("scale upper bound must be < 1", path=path)
 
 
@@ -212,14 +222,15 @@ def _check_benchmark_space(objective: str, space: SearchSpace) -> None:
         raise ConfigError("rosenbrock-2d needs exactly two parameters", path="space")
 
 
-def _parse_section(node, path: str, cls, ints=(), floats=()):
-    """Build dataclass ``cls`` from a mapping of int and float keys."""
+def _parse_section(node, path: str, cls):
+    """Build dataclass ``cls`` from a mapping of its own fields: an ``int``
+    field takes an integer, any other field a number."""
     node = dict(_require_mapping(node, path))
     kwargs = {}
-    for keys, convert in ((ints, _as_int), (floats, _as_float)):
-        for key in keys:
-            if key in node:
-                kwargs[key] = convert(node.pop(key), _join(path, key))
+    for f in fields(cls):
+        if f.name in node:
+            convert = _as_int if f.type in ("int", int) else _as_float
+            kwargs[f.name] = convert(node.pop(f.name), _join(path, f.name))
     _reject_unknown(node, path)
     try:
         return cls(**kwargs)
@@ -233,13 +244,7 @@ def _parse_sampler(node, path: str) -> SamplerSpec:
         _take(node, "kind", path, default="tpe"), _join(path, "kind"), allowed=SAMPLER_KINDS
     )
     resolution = _as_int(_take(node, "resolution", path, default=5), _join(path, "resolution"))
-    tpe = _parse_section(
-        _take(node, "tpe", path, default={}),
-        _join(path, "tpe"),
-        TpeConfig,
-        ints=("n_startup_trials", "n_candidates", "gamma_cap"),
-        floats=("gamma_fraction", "prior_weight"),
-    )
+    tpe = _parse_section(_take(node, "tpe", path, default={}), _join(path, "tpe"), TpeConfig)
     _reject_unknown(node, path)
     return SamplerSpec(kind=kind, tpe=tpe, resolution=resolution)
 
@@ -290,29 +295,15 @@ def config_from_mapping(raw) -> ExperimentConfig:
 
     pruner = None
     if "pruner" in raw:
-        pruner = _parse_section(
-            raw.pop("pruner"), "pruner", PrunerConfig, ints=("warmup_steps", "min_completed")
-        )
+        pruner = _parse_section(raw.pop("pruner"), "pruner", PrunerConfig)
 
-    policy = _parse_section(
-        _take(raw, "policy", "", default={}),
-        "policy",
-        RunPolicy,
-        ints=("n_trials", "max_parallel"),
-        floats=("save_threshold", "stop_threshold"),
-    )
+    policy = _parse_section(_take(raw, "policy", "", default={}), "policy", RunPolicy)
 
     data = None
     if "data" in raw:
         data = _parse_data(raw.pop("data"), "data")
 
-    synthetic = _parse_section(
-        _take(raw, "synthetic", "", default={}),
-        "synthetic",
-        SyntheticSpec,
-        ints=("n_per_class", "image_side", "seed"),
-        floats=("noise_std",),
-    )
+    synthetic = _parse_section(_take(raw, "synthetic", "", default={}), "synthetic", SyntheticSpec)
 
     _reject_unknown(raw, "")
 
@@ -345,29 +336,14 @@ def serialize_config(config: ExperimentConfig) -> dict:
         "epochs": config.epochs,
         "output_dir": config.output_dir,
         "space": config.space.to_dict(),
-        "sampler": {
-            "kind": config.sampler.kind,
-            "resolution": config.sampler.resolution,
-            "tpe": asdict(config.sampler.tpe),
-        },
-        "policy": {
-            "n_trials": config.policy.n_trials,
-            "max_parallel": config.policy.max_parallel,
-        },
+        "sampler": asdict(config.sampler),
+        "policy": {k: v for k, v in asdict(config.policy).items() if v is not None},
         "synthetic": asdict(config.synthetic),
     }
-    if config.policy.save_threshold is not None:
-        out["policy"]["save_threshold"] = config.policy.save_threshold
-    if config.policy.stop_threshold is not None:
-        out["policy"]["stop_threshold"] = config.policy.stop_threshold
     if config.pruner is not None:
         out["pruner"] = asdict(config.pruner)
     if config.data is not None:
-        out["data"] = {
-            "manifest": config.data.manifest,
-            "ratios": list(config.data.ratios),
-            "seed": config.data.seed,
-        }
+        out["data"] = asdict(config.data) | {"ratios": list(config.data.ratios)}
     return out
 
 

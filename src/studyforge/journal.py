@@ -176,23 +176,21 @@ def study_from_records(records: list[dict]) -> Study:
         study = Study(
             space=SearchSpace.from_dict(record["space"]),
             direction=record["direction"],
-            seed=int(record["seed"]),
+            seed=record["seed"],
         )
         revive = _params_reviver(study.space)
         for record in records[1:]:
             kind = record["kind"]
             if kind == KIND_TRIAL_START:
                 trial_id = record["trial_id"]
-                if trial_id != len(study.trials):
+                if type(trial_id) is not int or trial_id != len(study.trials):
                     raise JournalCorruptError(
-                        record["seq"], f"trial-start id {trial_id} out of order"
+                        record["seq"], f"trial-start id {trial_id!r} out of order"
                     )
                 params = revive(record["seq"], record["params"])
                 study.trials.append(TrialRecord(trial_id=trial_id, params=params))
             elif kind == KIND_INTERMEDIATE:
-                study.report_intermediate(
-                    record["trial_id"], int(record["step"]), float(record["value"])
-                )
+                study.report_intermediate(record["trial_id"], record["step"], record["value"])
             elif kind == KIND_TRIAL_END:
                 name = record["state"]
                 state = _STATES.get(name) if isinstance(name, str) else None
@@ -201,7 +199,7 @@ def study_from_records(records: list[dict]) -> Study:
                         record["seq"], f"trial-end state {name!r} is not a trial state"
                     )
                 if state is TrialState.COMPLETE:
-                    study.tell(record["trial_id"], float(record["final_value"]))
+                    study.tell(record["trial_id"], record["final_value"])
                 else:
                     study.tell(record["trial_id"], state=state)
             # checkpoints carry no study state

@@ -69,9 +69,9 @@ class RunPolicy:
     """
 
     n_trials: int = 20
+    max_parallel: int = 1
     save_threshold: float | None = None
     stop_threshold: float | None = None
-    max_parallel: int = 1
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -172,6 +172,17 @@ def config_hash(config: "ExperimentConfig") -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def next_best(
+    direction: str, value: float, best: float | None, save_threshold: float | None
+) -> tuple[float | None, bool]:
+    """The best value once a trial completes with ``value``, and whether
+    that trial earns a checkpoint: it improves on ``best`` and meets
+    ``save_threshold``. Both a run and a resume's cut decide by this."""
+    if not is_improvement(direction, value, best):
+        return best, False
+    return value, save_threshold is not None and meets_threshold(direction, value, save_threshold)
+
+
 def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
     """How many leading records hold only closed trials.
 
@@ -195,18 +206,10 @@ def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
         if record["state"] != TrialState.COMPLETE.value:
             closed.add(trial_id)
             continue
-        value = float(record["final_value"])
-        improves = is_improvement(direction, value, best)
-        due = (
-            improves
-            and save_threshold is not None
-            and meets_threshold(direction, value, save_threshold)
-        )
+        best, due = next_best(direction, record["final_value"], best, save_threshold)
         after = records[i + 1] if i + 1 < len(records) else {}
         if not due or after.get("kind") == journal_mod.KIND_CHECKPOINT:
             closed.add(trial_id)
-        if improves:
-            best = value
     cut = min((i for t, i in start.items() if t not in closed), default=len(records))
     while late := [i for t, i in start.items() if i < cut <= last[t]]:
         cut = min(late)
@@ -300,17 +303,14 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
             journal.append(journal_mod.KIND_TRIAL_END, trial_id=trial_id, **end)
             if trial.state is not TrialState.COMPLETE:
                 continue
-            if is_improvement(direction, value, best_value):
-                if policy.save_threshold is not None and meets_threshold(
-                    direction, value, policy.save_threshold
-                ):
-                    journal.append(
-                        journal_mod.KIND_CHECKPOINT,
-                        trial_id=trial_id,
-                        value=value,
-                        best_params=trial.params,
-                    )
-                best_value = value
+            best_value, due = next_best(direction, value, best_value, policy.save_threshold)
+            if due:
+                journal.append(
+                    journal_mod.KIND_CHECKPOINT,
+                    trial_id=trial_id,
+                    value=value,
+                    best_params=trial.params,
+                )
             stop = policy.stop_threshold is not None and meets_threshold(
                 direction, value, policy.stop_threshold
             )

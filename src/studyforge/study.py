@@ -287,8 +287,8 @@ class Study:
         return np.random.default_rng([self.seed, trial_id, lane])
 
     def _get_running(self, trial_id: int) -> TrialRecord:
-        if not 0 <= trial_id < len(self.trials):
-            raise StateError(f"unknown trial id {trial_id}")
+        if type(trial_id) is not int or not 0 <= trial_id < len(self.trials):
+            raise StateError(f"unknown trial id {trial_id!r}")
         trial = self.trials[trial_id]
         if trial.state is not TrialState.RUNNING:
             raise StateError(
@@ -315,7 +315,11 @@ class Study:
         if value is not None:
             if state is not None and state is not TrialState.COMPLETE:
                 raise StateError("value given but state is not complete")
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
                 raise ValidationError(f"final value must be finite, got {value!r}")
             trial.state = TrialState.COMPLETE
             trial.final_value = float(value)

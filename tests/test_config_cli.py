@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from studyforge.config import (
 from studyforge.errors import ConfigError
 from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
+from studyforge.orchestrator import config_hash
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,6 +145,27 @@ class TestParseConfig:
             surrogate("  batch_size: {kind: int-categorical, choices: [8, 16]}\n  batch_size2: 1\n" if False else "  batch_size: {kind: uniform-float, low: 8, high: 128}\n")
         with pytest.raises(ConfigError, match=r"space\.momentum"):
             surrogate("  momentum: {kind: uniform-float, low: 0.0, high: 1.0}\n")
+        # every choice a sampler can draw is held to the same rules as a range
+        with pytest.raises(ConfigError, match=r"space\.lr: lr must be positive"):
+            surrogate("  lr: {kind: choice, choices: [1.0e-3, -0.001]}\n")
+        with pytest.raises(ConfigError, match=r"space\.dropout: bounds"):
+            surrogate("  dropout: {kind: choice, choices: [0.0, 0.5]}\n")
+        with pytest.raises(ConfigError, match=r"space\.rotation: bounds"):
+            surrogate("  rotation: {kind: int-categorical, choices: [0, 400]}\n")
+        with pytest.raises(ConfigError, match=r"space\.scale: scale upper bound"):
+            surrogate("  scale: {kind: choice, choices: [0.0, 1.0]}\n")
+        for choices in ("[0.1, fast]", "[true]", "[null]"):
+            with pytest.raises(ConfigError, match=r"space\.translate: translate choices must be"):
+                surrogate(f"  translate: {{kind: choice, choices: {choices}}}\n")
+        with pytest.raises(ConfigError, match=r"space\.lr: lr choices must be numbers"):
+            surrogate("  lr: {kind: boolean}\n")
+        config = surrogate(
+            "  lr: {kind: choice, choices: [1.0e-4, 1.0e-3]}\n"
+            "  dropout: {kind: int-categorical, choices: [0]}\n"
+            "  scale: {kind: choice, choices: [0.0, 0.3]}\n"
+            "  hflip: {kind: choice, choices: [true, false]}\n"
+        )
+        assert config.space["lr"].choices == (1.0e-4, 1.0e-3)
 
     def test_benchmark_arity_enforced(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -261,6 +284,21 @@ class TestParseConfig:
             )
 
 
+def another_value(value):
+    """A different value that stays valid, for an int, float or unset field."""
+    if value is None:
+        return 0.5
+    if isinstance(value, int):
+        return value + 1
+    return value / 2
+
+
+def replace_at(obj, dotted: str, value):
+    """``obj`` with the field at the dotted path set to ``value``."""
+    head, _, rest = dotted.partition(".")
+    return replace(obj, **{head: replace_at(getattr(obj, head), rest, value) if rest else value})
+
+
 class TestRoundTrip:
     def test_default_config_round_trips(self):
         config = parse_config((CONFIG_DIR / "default.yaml").read_text())
@@ -280,6 +318,36 @@ class TestRoundTrip:
         assert "pruner" not in raw
         assert "data" not in raw
         assert "save_threshold" not in raw["policy"]
+
+    def test_every_section_field_enters_the_hash(self, tmp_path):
+        manifests = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in manifests:
+            path.write_text(path.name)
+        config = parse_config(
+            "objective: quadratic-1d\nspace:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+            f"pruner: {{}}\ndata: {{manifest: {json.dumps(str(manifests[0]))}}}\n"
+        )
+        others = {
+            "sampler.kind": "random",
+            "data.manifest": str(manifests[1]),
+            "data.ratios": (0.6, 0.2, 0.2),
+        }
+        changed = []
+        for section in ("sampler", "sampler.tpe", "pruner", "policy", "synthetic", "data"):
+            obj = config
+            for name in section.split("."):
+                obj = getattr(obj, name)
+            for f in fields(obj):
+                key = f"{section}.{f.name}"
+                value = getattr(obj, f.name)
+                if is_dataclass(value):
+                    continue  # a section of its own
+                new = others[key] if key in others else another_value(value)
+                other = replace_at(config, key, new)
+                assert config_hash(other) != config_hash(config), key
+                assert parse_config(dump_config(other)) == other, key
+                changed.append(key)
+        assert "policy.save_threshold" in changed and "synthetic.noise_std" in changed
 
 
 class TestApplyOverrides:

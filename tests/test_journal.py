@@ -356,6 +356,23 @@ HAND_EDITS = {
         "missing field 'final_value'",
     ),
     "string trial_id": (2, lambda r: r.update(trial_id="0"), "trial-end: "),
+    # fields that int(), float() or == would take as valid: only the
+    # study's own type checks refuse them
+    "string final_value": (2, lambda r: r.update(final_value="0.5"), "final value must be finite"),
+    "boolean final_value": (2, lambda r: r.update(final_value=True), "got True"),
+    "boolean trial_id": (2, lambda r: r.update(trial_id=False), "unknown trial id False"),
+    "boolean trial-start id": (1, lambda r: r.update(trial_id=False), "trial-start id False"),
+    "string seed": (0, lambda r: r.update(seed="0"), "seed must be"),
+    "string step": (
+        2,
+        lambda r: r.update(kind=KIND_INTERMEDIATE, step="1", value=0.5),
+        "step must be a non-negative integer",
+    ),
+    "string intermediate value": (
+        2,
+        lambda r: r.update(kind=KIND_INTERMEDIATE, step=1, value="0.5"),
+        "intermediate: ",
+    ),
 }
 
 
