@@ -48,7 +48,7 @@ def cmd_run(config_path: str, overrides: list[str], resume: bool = False) -> int
     best_path = out_dir / "best.json"
     write_atomic(best_path, json.dumps(payload, sort_keys=True) + "\n")
 
-    written = write_reports(result.journal_path, out_dir)
+    written = write_reports(result.journal_path, out_dir, study=result.study)
     for path in [result.journal_path, best_path, *written]:
         print(path)
     return 0
@@ -56,11 +56,10 @@ def cmd_run(config_path: str, overrides: list[str], resume: bool = False) -> int
 
 def cmd_report(journal_path: str, fmt: str, out_dir: str | None) -> int:
     target = Path(out_dir) if out_dir else Path(journal_path).parent
-    records = read_records(journal_path)
-    study = study_from_records(records)
+    study = study_from_records(read_records(journal_path))
     if not study.completed_trials():
         print("warning: journal has no completed trials", file=sys.stderr)
-    written = write_reports(journal_path, target, fmt=fmt, replayed=(records, study))
+    written = write_reports(journal_path, target, fmt=fmt, study=study)
     for path in written:
         print(path)
     return 0

@@ -199,7 +199,8 @@ def study_from_records(records: list[dict]) -> Study:
                         record["seq"], f"trial-end state {name!r} is not a trial state"
                     )
                 if state is TrialState.COMPLETE:
-                    study.tell(record["trial_id"], record["final_value"])
+                    trial = study.tell(record["trial_id"], record["final_value"])
+                    trial.metrics = _metrics(record.get("metrics"))
                 else:
                     study.tell(record["trial_id"], state=state)
             # checkpoints carry no study state
@@ -212,6 +213,19 @@ def study_from_records(records: list[dict]) -> Study:
         if trial.state is TrialState.RUNNING:
             trial.state = TrialState.FAILED
     return study
+
+
+def _metrics(metrics):
+    """A trial-end's metrics if absent or shaped as the reports render them."""
+    if metrics is None or (
+        isinstance(metrics, dict)
+        and isinstance(metrics.get("confusion"), list)
+        and all(isinstance(row, list) for row in metrics["confusion"])
+        and isinstance(metrics.get("f1"), list)
+        and type(metrics.get("macro_f1")) in (int, float)
+    ):
+        return metrics
+    raise ValueError("metrics need a confusion list of lists, an f1 list and a macro_f1 number")
 
 
 def resume_study(path) -> Study:

@@ -296,7 +296,7 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
                 end = {"state": TrialState.FAILED.value, "reason": str(exc)}
             else:
                 value = float(value)
-                study.tell(trial_id, value)
+                study.tell(trial_id, value).metrics = metrics
                 end = {"state": TrialState.COMPLETE.value, "final_value": value}
                 if metrics is not None:
                     end["metrics"] = metrics

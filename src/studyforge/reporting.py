@@ -1,7 +1,9 @@
 """Run artifacts derived from a journal: trial tables, summaries, plots.
 
-Everything here is a pure function of the journal bytes, so regenerating
-reports from the same journal yields byte-identical files. The history
+Everything here is a pure function of a study. `report` builds its files
+from the journal's replay, and `run` builds them from the study it
+journaled, which replay reproduces, so both write the same bytes for the
+same journal, and regenerating reports never changes them. The history
 plot is a hand-built SVG polyline to keep runs diffable without a
 plotting dependency.
 """
@@ -13,7 +15,7 @@ import io
 import os
 from pathlib import Path
 
-from .journal import KIND_TRIAL_END, read_records, study_from_records
+from .journal import read_records, study_from_records
 from .study import MAXIMIZE, Study, TrialState
 
 SVG_WIDTH = 640
@@ -152,21 +154,6 @@ def render_history_svg(study: Study) -> str:
     return "\n".join(lines) + "\n"
 
 
-def best_metrics(records: list[dict], study: Study) -> dict | None:
-    """Metrics payload stored on the best completed trial's end record."""
-    if not study.completed_trials():
-        return None
-    best = study.best_trial()
-    for record in records:
-        if (
-            record.get("kind") == KIND_TRIAL_END
-            and record.get("trial_id") == best.trial_id
-            and "metrics" in record
-        ):
-            return record["metrics"]
-    return None
-
-
 def render_confusion_csv(confusion: list[list[int]]) -> str:
     n = len(confusion)
     header = ["class", *[f"pred_{j}" for j in range(n)]]
@@ -193,19 +180,17 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_reports(journal_path, out_dir, fmt: str = "csv", *, replayed=None) -> list[Path]:
+def write_reports(journal_path, out_dir, fmt: str = "csv", *, study=None) -> list[Path]:
     """Regenerate every derived artifact for one journal. Returns paths.
 
-    ``replayed`` is ``(records, study)`` from `read_records` and
-    `study_from_records` when the caller has replayed the journal already;
-    by default the journal is read here.
+    ``study`` is the journal's study when the caller holds it already: the
+    one it replayed, or the one it journaled; by default the journal is
+    replayed here.
     """
     if fmt not in ("csv", "md"):
         raise ValueError(f"unknown report format {fmt!r}")
-    if replayed is None:
-        records = read_records(journal_path)
-        replayed = records, study_from_records(records)
-    records, study = replayed
+    if study is None:
+        study = study_from_records(read_records(journal_path))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     render = render_csv if fmt == "csv" else render_markdown
@@ -221,7 +206,7 @@ def write_reports(journal_path, out_dir, fmt: str = "csv", *, replayed=None) -> 
         if dist.is_discrete:
             emit(f"summary_{name}.{fmt}", render(*choice_summary(study, name)))
     emit("history.svg", render_history_svg(study))
-    metrics = best_metrics(records, study)
+    metrics = study.best_trial().metrics if study.completed_trials() else None
     if metrics is not None:
         emit("confusion.csv", render_confusion_csv(metrics["confusion"]))
         emit("f1.csv", render_f1_csv(metrics["f1"], metrics["macro_f1"]))

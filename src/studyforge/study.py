@@ -192,6 +192,7 @@ class TrialRecord:
     state: TrialState = TrialState.RUNNING
     final_value: float | None = None
     intermediates: list[tuple[int, float]] = field(default_factory=list)
+    metrics: dict | None = None
 
     def intermediate_at(self, step: int) -> float | None:
         for s, v in self.intermediates:
@@ -334,9 +335,9 @@ class Study:
 
     def report_intermediate(self, trial_id: int, step: int, value: float) -> None:
         trial = self._get_running(trial_id)
-        if not isinstance(step, int) or step < 0:
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
             raise ValidationError(f"step must be a non-negative integer, got {step!r}")
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not math.isfinite(value):
             raise ValidationError(f"intermediate value must be finite, got {value!r}")
         if trial.intermediates and step <= trial.intermediates[-1][0]:
             raise OrderingError(

@@ -473,8 +473,18 @@ class TestCliRun:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda r: r.update(trial_id="0"), lambda r: r.pop("final_value")],
-        ids=["string trial_id", "trial-end without final_value"],
+        [
+            lambda r: r.update(trial_id="0"),
+            lambda r: r.pop("final_value"),
+            lambda r: r.update(metrics=[1, 2]),
+            lambda r: r.update(kind="intermediate", step=True, value=0.5),
+        ],
+        ids=[
+            "string trial_id",
+            "trial-end without final_value",
+            "metrics not an object",
+            "boolean step",
+        ],
     )
     def test_resume_refuses_a_hand_edited_record_and_keeps_its_journal(
         self, tmp_path, capsys, edit
@@ -758,6 +768,18 @@ class TestReportReplay:
         assert main([command[0], journal, *command[1:]]) == 0
         assert replays == {"parse": 1, "rebuild": 1}
 
+    def test_run_replays_nothing(self, tmp_path, capsys, replays, monkeypatch):
+        # the reports of a run come from the study it journaled
+        reads = []
+        real_read = reporting_mod.read_records
+        monkeypatch.setattr(
+            reporting_mod, "read_records", lambda path: reads.append(path) or real_read(path)
+        )
+        argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
+        assert main(argv) == 0
+        assert (tmp_path / "trials.csv").exists()
+        assert (len(reads), replays["rebuild"], replays["parse"]) == (0, 0, 0)
+
     def test_report_of_a_journal_without_completed_trials_replays_once(
         self, tmp_path, capsys, replays
     ):
@@ -765,6 +787,45 @@ class TestReportReplay:
         assert main(["report", str(journal)]) == 0
         assert "warning: journal has no completed trials" in capsys.readouterr().err
         assert replays == {"parse": 1, "rebuild": 1}
+
+    @pytest.mark.parametrize(
+        "config, overrides, resume",
+        [
+            ("configs/quadratic.yaml", [], False),
+            ("configs/pruned_surrogate.yaml", [], False),
+            ("perfbench/configs/grid_sphere.yaml", ["policy.n_trials=50"], False),
+            ("perfbench/configs/tpe_sphere.yaml", ["policy.n_trials=150"], False),
+            # cut inside the trial after the best one: the resumed run's
+            # confusion.csv and f1.csv come from the replay of the kept prefix
+            ("configs/default.yaml", ["epochs=1"], True),
+        ],
+    )
+    def test_run_writes_the_files_report_writes(
+        self, tmp_path, capsys, config, overrides, resume
+    ):
+        run_dir = tmp_path / "run"
+        argv = ["run", str(self.REPO / config), "--set", f"output_dir={run_dir}"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        journal = run_dir / "journal.jsonl"
+        if resume:
+            whole = journal.read_bytes()
+            best = journal_mod.resume_study(journal).best_trial().trial_id
+            at = whole.find(f'"kind": "trial-start", "trial_id": {best + 1},'.encode())
+            assert at > 0
+            for path in run_dir.iterdir():
+                path.unlink()
+            journal.write_bytes(whole[: at + 30])
+            assert main([*argv, "--resume"]) == 0
+            assert journal.read_bytes() == whole
+        assert main(["report", str(journal), "--out", str(tmp_path / "report")]) == 0
+        rebuilt = {p.name: p.read_bytes() for p in (tmp_path / "report").iterdir()}
+        written = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert written.pop("journal.jsonl") and written.pop("best.json")
+        assert rebuilt == written
+        if resume:
+            assert {"confusion.csv", "f1.csv"} <= rebuilt.keys()
 
     # sha256 of every file `report` writes (in both formats) and of `best`'s
     # stdout, recorded while `report` still replayed the journal twice

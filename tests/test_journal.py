@@ -373,6 +373,23 @@ HAND_EDITS = {
         lambda r: r.update(kind=KIND_INTERMEDIATE, step=1, value="0.5"),
         "intermediate: ",
     ),
+    "boolean step": (
+        2,
+        lambda r: r.update(kind=KIND_INTERMEDIATE, step=True, value=0.5),
+        "step must be a non-negative integer, got True",
+    ),
+    "boolean intermediate value": (
+        2,
+        lambda r: r.update(kind=KIND_INTERMEDIATE, step=1, value=True),
+        "intermediate value must be finite, got True",
+    ),
+    # metrics the reports would fail to render
+    "metrics without confusion": (
+        2,
+        lambda r: r.update(metrics={"f1": [0.5], "macro_f1": 0.5}),
+        "trial-end: metrics need",
+    ),
+    "metrics not an object": (2, lambda r: r.update(metrics=[1, 2]), "trial-end: metrics need"),
 }
 
 

@@ -220,6 +220,13 @@ class TestRunStudySurrogate:
             assert len(metrics["f1"]) == 2
             assert 0.0 <= metrics["macro_f1"] <= 1.0
 
+    def test_study_holds_the_metrics_it_journals(self, tmp_path):
+        result = run_study(surrogate_config(tmp_path))
+        replayed = resume_study(result.journal_path)
+        kept = [t.metrics for t in result.study.trials]
+        assert kept == [t.metrics for t in replayed.trials]
+        assert any(metrics is not None for metrics in kept)
+
     def test_intermediates_cover_every_epoch(self, tmp_path):
         config = surrogate_config(tmp_path, epochs=3)
         result = run_study(config)

@@ -172,6 +172,15 @@ class TestTrialLifecycle:
         with pytest.raises(OrderingError):
             study.report_intermediate(t.trial_id, 1, 0.7)
 
+    def test_boolean_step_or_value_rejected(self, unit_space):
+        study = make_study(unit_space)
+        t = running_trial(study, {"x": 0.5})
+        with pytest.raises(ValidationError, match="step must be"):
+            study.report_intermediate(t.trial_id, True, 0.5)
+        with pytest.raises(ValidationError, match="got True"):
+            study.report_intermediate(t.trial_id, 1, True)
+        assert t.intermediates == []
+
     def test_report_on_finished_trial_rejected(self, unit_space):
         study = make_study(unit_space)
         t = running_trial(study, {"x": 0.5})
