@@ -166,8 +166,9 @@ def study_from_records(records: list[dict]) -> Study:
     """Rebuild the study state; trials left mid-flight become failed.
 
     A record whose fields do not fit what replay reads from it (a missing
-    field, a field of the wrong type, a value the study refuses) raises
-    JournalCorruptError naming it; the study-meta record is seq 0.
+    field, a field of the wrong type, a value the study refuses, params
+    that `Study.ask` would refuse) raises JournalCorruptError naming it;
+    the study-meta record is seq 0.
     """
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
@@ -178,7 +179,6 @@ def study_from_records(records: list[dict]) -> Study:
             direction=record["direction"],
             seed=record["seed"],
         )
-        revive = _params_reviver(study.space)
         for record in records[1:]:
             kind = record["kind"]
             if kind == KIND_TRIAL_START:
@@ -187,7 +187,8 @@ def study_from_records(records: list[dict]) -> Study:
                     raise JournalCorruptError(
                         record["seq"], f"trial-start id {trial_id!r} out of order"
                     )
-                params = revive(record["seq"], record["params"])
+                params = record["params"]
+                study.space.validate_assignment(params)
                 study.trials.append(TrialRecord(trial_id=trial_id, params=params))
             elif kind == KIND_INTERMEDIATE:
                 study.report_intermediate(record["trial_id"], record["step"], record["value"])
@@ -232,42 +233,3 @@ def resume_study(path) -> Study:
     """Reconstruct the study at the last durable record of the journal."""
     return study_from_records(read_records(path))
 
-
-def _params_reviver(space: SearchSpace):
-    """A function ``revive(seq, params)`` that maps one trial-start's JSON
-    params back onto the space's own choice objects, so domain checks stay
-    type-exact after a round trip, and that raises JournalCorruptError for
-    params that do not name exactly the space's parameters. The per-space
-    facts are looked up here once, not once per trial."""
-    # name -> {choice: choice} for a discrete parameter, None for a float
-    lookups = {
-        name: {c: c for c in dist.choices} if dist.is_discrete else None
-        for name, dist in space.entries.items()
-    }
-
-    def revive(seq: int, params) -> dict:
-        if not isinstance(params, dict) or params.keys() != lookups.keys():
-            names = set(params) if isinstance(params, dict) else set()
-            raise JournalCorruptError(
-                seq,
-                f"trial-start params do not match the space (missing="
-                f"{sorted(lookups.keys() - names)}, extra={sorted(names - lookups.keys())})",
-            )
-        revived = {}
-        for name, value in params.items():
-            lookup = lookups[name]
-            if lookup is None:
-                try:
-                    revived[name] = float(value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise JournalCorruptError(seq, f"parameter {name!r}: {exc}") from None
-            else:
-                try:
-                    match = lookup.get(value, value)
-                except TypeError:  # unhashable: a JSON list or object
-                    match = value
-                # an equal choice of another type (1 for True, 1 for 1.0) is no match
-                revived[name] = match if type(match) is type(value) else value
-        return revived
-
-    return revive

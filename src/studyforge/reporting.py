@@ -71,11 +71,7 @@ def choice_summary(study: Study, name: str) -> tuple[list[str], list[list[str]]]
     header = ["choice", "n_complete", "best_value"]
     rows = []
     for choice in dist.choices:
-        values = [
-            t.final_value
-            for t in complete
-            if t.params.get(name) == choice and type(t.params.get(name)) is type(choice)
-        ]
+        values = [t.final_value for t in complete if t.params[name] == choice]
         best = None
         if values:
             best = max(values) if study.direction == MAXIMIZE else min(values)

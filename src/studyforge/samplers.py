@@ -302,9 +302,8 @@ def tpe_split_observations(values, direction: str, cfg: TpeConfig = TpeConfig())
 
 
 def _categorical_weights(codes: np.ndarray, n_choices: int, prior_weight: float) -> np.ndarray:
-    """Smoothed frequencies of the choice indices; index n_choices (a value
-    matching no choice) counts for none."""
-    counts = np.bincount(codes.astype(np.intp), minlength=n_choices + 1)[:n_choices]
+    """Smoothed frequencies of the choice indices."""
+    counts = np.bincount(codes.astype(np.intp), minlength=n_choices)
     w = counts.astype(float) + prior_weight / n_choices
     return w / w.sum()
 

@@ -81,13 +81,11 @@ class Distribution:
         return self.kind == LOG_UNIFORM
 
     def contains(self, value) -> bool:
-        if self.is_discrete:
+        """Whether value is one of the choices, or an int or float (not a
+        bool) inside the bounds, which are finite; types compare exactly."""
+        if self.kind in _DISCRETE_KINDS:
             return any(value == c and type(value) is type(c) for c in self.choices)
-        return (
-            isinstance(value, (int, float))
-            and math.isfinite(value)
-            and self.low <= value <= self.high
-        )
+        return type(value) in (int, float) and self.low <= value <= self.high
 
 
 def uniform(low: float, high: float) -> Distribution:
@@ -140,12 +138,13 @@ class SearchSpace:
         return isinstance(other, SearchSpace) and self.entries == other.entries
 
     def validate_assignment(self, params: dict[str, Any]) -> None:
-        """Check that params covers every entry exactly once, in-domain."""
-        if set(params) != set(self.entries):
-            missing = set(self.entries) - set(params)
-            extra = set(params) - set(self.entries)
+        """Check that params is a dict naming every entry exactly once,
+        each value in its domain. Both `Study.ask` and replay use it."""
+        if not isinstance(params, dict) or params.keys() != self.entries.keys():
+            names = params.keys() if isinstance(params, dict) else set()
             raise ValidationError(
-                f"assignment mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
+                f"assignment mismatch (missing={sorted(self.entries.keys() - names)}, "
+                f"extra={sorted(names - self.entries.keys())})"
             )
         for name, dist in self.entries.items():
             if not dist.contains(params[name]):
@@ -259,13 +258,8 @@ class Observations(list):
 
 def _encode(value, choices: tuple | None):
     """A continuous value as itself, a discrete one as the index of its
-    type-exact match among the choices (len(choices) for none)."""
-    if choices is None:
-        return value
-    for k, c in enumerate(choices):
-        if value == c and type(value) is type(c):
-            return k
-    return len(choices)
+    choice: the value is in the space, and no two choices compare equal."""
+    return value if choices is None else choices.index(value)
 
 
 class Study:
@@ -274,7 +268,7 @@ class Study:
     def __init__(self, space: SearchSpace, direction: str, seed: int):
         if direction not in DIRECTIONS:
             raise ValidationError(f"direction must be one of {DIRECTIONS}")
-        if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+        if type(seed) is not int or seed < 0 or seed >= 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         self.space = space
         self.direction = direction

@@ -472,39 +472,41 @@ class TestCliRun:
         assert journal.read_bytes() == cut
 
     @pytest.mark.parametrize(
-        "edit",
+        "seq, edit",
         [
-            lambda r: r.update(trial_id="0"),
-            lambda r: r.pop("final_value"),
-            lambda r: r.update(metrics=[1, 2]),
-            lambda r: r.update(kind="intermediate", step=True, value=0.5),
+            (2, lambda r: r.update(trial_id="0")),
+            (2, lambda r: r.pop("final_value")),
+            (2, lambda r: r.update(metrics=[1, 2])),
+            (2, lambda r: r.update(kind="intermediate", step=True, value=0.5)),
+            (1, lambda r: r["params"].update(x=-1)),
         ],
         ids=[
             "string trial_id",
             "trial-end without final_value",
             "metrics not an object",
             "boolean step",
+            "x outside its domain",
         ],
     )
     def test_resume_refuses_a_hand_edited_record_and_keeps_its_journal(
-        self, tmp_path, capsys, edit
+        self, tmp_path, capsys, seq, edit
     ):
-        # trial 0's trial-end is seq 2
+        # trial 0's trial-start is seq 1, its trial-end seq 2
         argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
         assert main(argv) == 0
         journal = tmp_path / "journal.jsonl"
         lines = journal.read_text().splitlines()
-        record = json.loads(lines[2])
-        assert record["kind"] == "trial-end"
+        record = json.loads(lines[seq])
+        assert record["kind"] == ("trial-start" if seq == 1 else "trial-end")
         edit(record)
-        lines[2] = json.dumps(record)
+        lines[seq] = json.dumps(record)
         journal.write_text("\n".join(lines) + "\n")
         edited = journal.read_bytes()
         capsys.readouterr()
         assert main([*argv, "--resume"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: record seq=2: ")
+        assert captured.err.startswith(f"error: record seq={seq}: ")
         assert captured.err.count("\n") == 1
         assert journal.read_bytes() == edited
 

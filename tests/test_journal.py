@@ -1,12 +1,14 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from studyforge import journal as journal_mod
 from studyforge.cli import main
-from studyforge.errors import JournalCorruptError, JournalError
+from studyforge.errors import JournalCorruptError, JournalError, ValidationError
 from studyforge.journal import (
     KIND_CHECKPOINT,
     KIND_INTERMEDIATE,
@@ -363,6 +365,7 @@ HAND_EDITS = {
     "boolean trial_id": (2, lambda r: r.update(trial_id=False), "unknown trial id False"),
     "boolean trial-start id": (1, lambda r: r.update(trial_id=False), "trial-start id False"),
     "string seed": (0, lambda r: r.update(seed="0"), "seed must be"),
+    "boolean seed": (0, lambda r: r.update(seed=True), "seed must be"),
     "string step": (
         2,
         lambda r: r.update(kind=KIND_INTERMEDIATE, step="1", value=0.5),
@@ -383,6 +386,15 @@ HAND_EDITS = {
         lambda r: r.update(kind=KIND_INTERMEDIATE, step=1, value=True),
         "intermediate value must be finite, got True",
     ),
+    # params outside the space: replay refuses them with the check Study.ask makes
+    "x below its low": (1, lambda r: r["params"].update(x=-1), "parameter 'x'"),
+    "boolean x": (1, lambda r: r["params"].update(x=True), "parameter 'x'"),
+    "string x": (1, lambda r: r["params"].update(x="0.5"), "parameter 'x'"),
+    "string batch_size": (1, lambda r: r["params"].update(batch_size="s"), "'batch_size'"),
+    "null batch_size": (1, lambda r: r["params"].update(batch_size=None), "'batch_size'"),
+    "list batch_size": (1, lambda r: r["params"].update(batch_size=[]), "'batch_size'"),
+    "boolean batch_size": (1, lambda r: r["params"].update(batch_size=True), "'batch_size'"),
+    "integer hflip": (1, lambda r: r["params"].update(hflip=1), "parameter 'hflip'"),
     # metrics the reports would fail to render
     "metrics without confusion": (
         2,
@@ -434,18 +446,74 @@ class TestReplayRejects:
         assert captured.err.count("\n") == 1
 
 
-def old_revive_params(space, params):
-    """`_revive_params` as it was before replays built a per-space map: the
-    reference the map must agree with."""
-    revived = {}
-    for name, value in params.items():
-        dist = space[name]
-        if dist.is_discrete:
-            matches = [c for c in dist.choices if c == value and type(c) is type(value)]
-            revived[name] = matches[0] if matches else value
-        else:
-            revived[name] = float(value)
-    return revived
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# what the sweep sets a field to, besides deleting it
+SWEEP_VALUES = ("s", True, False, None, [], {}, -1, 1.5, 1e30, math.nan)
+DELETE = object()
+
+
+def sweep_edits(records):
+    """(seq, field path, value) for every field of every record, and every
+    field one level inside an object: deleted (DELETE) or set to each of
+    SWEEP_VALUES."""
+    for seq, record in enumerate(records):
+        paths = []
+        for key, value in record.items():
+            paths.append((key,))
+            if isinstance(value, dict):
+                paths.extend((key, inner) for inner in value)
+        for path in paths:
+            for value in (DELETE, *SWEEP_VALUES):
+                yield seq, path, value
+
+
+def edit_field(record, path, value):
+    record = copy.deepcopy(record)
+    target = record[path[0]] if len(path) == 2 else record
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return record
+
+
+class TestFaultInjectionSweep:
+    def test_every_single_field_edit_replays_or_is_refused_in_one_line(self, tmp_path, capsys):
+        """`best` and `report` on each single-field edit of a 6-trial
+        quadratic.yaml journal exit 0 or print one `error: ` line and exit 1.
+        No sweep value is a float in [0, 1], so every edit of a trial-start's
+        params leaves the space and must be refused, as must a boolean seed."""
+        run_dir = tmp_path / "run"
+        config = str(CONFIG_DIR / "quadratic.yaml")
+        overrides = ["--set", "policy.n_trials=6", "--set", f"output_dir={run_dir}"]
+        assert main(["run", config, *overrides]) == 0
+        lines = (run_dir / "journal.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        path = tmp_path / "edited.jsonl"
+        commands = (["best", str(path)], ["report", str(path), "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        must_refuse, wrong = 0, []
+        for seq, field, value in sweep_edits(records):
+            edited = list(lines)
+            edited[seq] = json.dumps(edit_field(records[seq], field, value))
+            path.write_text("\n".join(edited) + "\n")
+            refuse = (records[seq]["kind"] == KIND_TRIAL_START and field[0] == "params") or (
+                field == ("seed",) and type(value) is bool
+            )
+            must_refuse += refuse
+            for command in commands:
+                status = main(command)
+                err = capsys.readouterr().err
+                ok = status == 0 or (
+                    status == 1 and err.startswith("error: ") and err.count("\n") == 1
+                )
+                if refuse:
+                    ok = ok and status == 1 and err.startswith(f"error: record seq={seq}: ")
+                if not ok:
+                    wrong.append((command[0], seq, field, value, status, err))
+        # 6 trials x (params and params.x) x 11 edits, and the two boolean seeds
+        assert must_refuse == 6 * 2 * 11 + 2
+        assert wrong == []
 
 
 SCALARS = st.one_of(
@@ -504,27 +572,28 @@ def spaces_and_params(draw):
     return space, params
 
 
-class TestReviverMatchesOldRevive:
+class TestReplayChecksParamsAsAskDoes:
     @settings(max_examples=300, deadline=None)
     @given(spaces_and_params())
-    def test_per_space_map_equals_per_parameter_lookups(self, case):
+    def test_a_trial_start_replays_exactly_when_its_params_are_in_the_space(self, case):
         space, params = case
-        revive = journal_mod._params_reviver(space)
+        meta = {"seq": 0, "kind": KIND_META, **meta_for(space)}
+        start = {"seq": 1, "kind": KIND_TRIAL_START, "trial_id": 0, "params": params}
+        # the records as a journal file holds them
+        records = [json.loads(json.dumps(record)) for record in (meta, start)]
+        params = records[1]["params"]
         try:
-            old = old_revive_params(space, params)
-        except (TypeError, ValueError, OverflowError):
+            space.validate_assignment(params)
+        except ValidationError:
             with pytest.raises(JournalCorruptError) as exc_info:
-                revive(7, params)
-            assert exc_info.value.seq == 7
+                study_from_records(records)
+            assert exc_info.value.seq == 1
             return
-        new = revive(7, params)
-        assert list(new) == list(old)
-        for name, value in old.items():
-            assert type(new[name]) is type(value)
-            if space[name].is_discrete:
-                assert new[name] is value  # the same choice object, or the value itself
-            else:
-                assert new[name] == value or (math.isnan(value) and math.isnan(new[name]))
+        replayed = study_from_records(records).trials[0].params
+        assert list(replayed) == list(params)
+        for name, value in params.items():
+            assert type(replayed[name]) is type(value)
+            assert replayed[name] == value
 
 
 def old_parse(raw):

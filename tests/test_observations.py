@@ -59,10 +59,7 @@ def reference_column(space, name, pairs):
     if not dist.is_discrete:
         return [float(p[name]) for p, _ in pairs]
     return [
-        next(
-            (k for k, c in enumerate(dist.choices) if p[name] == c and type(p[name]) is type(c)),
-            len(dist.choices),
-        )
+        next(k for k, c in enumerate(dist.choices) if p[name] == c and type(p[name]) is type(c))
         for p, _ in pairs
     ]
 
@@ -161,10 +158,3 @@ def test_history_grows_past_its_first_capacity():
     assert_matches_scan(study)
     assert len(trial_observations(study)) == 100
 
-
-def test_a_choice_of_another_type_counts_for_no_choice():
-    space = SearchSpace({"batch": int_categorical([0, 1])})
-    study = make_study(space)
-    complete_trial(study, {"batch": True}, 0.5)
-    complete_trial(study, {"batch": 1}, 0.25)
-    assert trial_observations(study).column("batch").tolist() == [2, 1]

@@ -31,6 +31,12 @@ class TestDistribution:
         assert d.contains(0.0) and d.contains(1.0) and d.contains(0.5)
         assert not d.contains(-1e-9) and not d.contains(1.0 + 1e-9)
 
+    def test_continuous_containment_refuses_non_numbers(self):
+        d = uniform(0.0, 1.0)
+        assert not d.contains(True) and not d.contains(False)
+        assert not d.contains("0.5") and not d.contains(None)
+        assert not d.contains(math.nan) and not d.contains(10**400)
+
     def test_low_must_be_below_high(self):
         with pytest.raises(ValidationError):
             uniform(1.0, 1.0)
