@@ -161,7 +161,7 @@ def _parse_distribution(name: str, node, path: str) -> Distribution:
     raise ConfigError(f"unknown distribution kind {kind!r}", path=_join(path, "kind"))
 
 
-def _parse_space(node, path: str) -> SearchSpace:
+def parse_space(node, path: str = "space") -> SearchSpace:
     node = _require_mapping(node, path)
     if not node:
         raise ConfigError("space must define at least one parameter", path=path)
@@ -196,6 +196,8 @@ def _check_surrogate_space(space: SearchSpace) -> None:
             if any((not isinstance(c, int)) or c < 1 for c in dist.choices):
                 raise ConfigError("batch_size choices must be positive ints", path=path)
         if isinstance(DEFAULT_HP[name], bool):
+            if not dist.is_discrete or any(type(c) is not bool for c in dist.choices):
+                raise ConfigError(f"{name} choices must be booleans", path=path)
             continue
         values = dist.choices if dist.is_discrete else (dist.low, dist.high)
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
@@ -284,7 +286,7 @@ def config_from_mapping(raw) -> ExperimentConfig:
         raise ConfigError("epochs must be >= 1", path="epochs")
     output_dir = _as_str(_take(raw, "output_dir", "", default="runs/study"), "output_dir")
 
-    space = _parse_space(_take(raw, "space", "", required=True), "space")
+    space = parse_space(_take(raw, "space", "", required=True))
     if objective == "surrogate":
         _check_surrogate_space(space)
     else:

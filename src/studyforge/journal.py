@@ -18,7 +18,7 @@ import os
 from pathlib import Path
 
 from .errors import JournalCorruptError, JournalError, StateError
-from .study import SearchSpace, Study, TrialRecord, TrialState
+from .study import Study, TrialRecord, TrialState
 
 KIND_META = "study-meta"
 KIND_TRIAL_START = "trial-start"
@@ -165,17 +165,20 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
 def study_from_records(records: list[dict]) -> Study:
     """Rebuild the study state; trials left mid-flight become failed.
 
+    The study-meta's space is parsed as the config parses its ``space``.
     A record whose fields do not fit what replay reads from it (a missing
-    field, a field of the wrong type, a value the study refuses, params
-    that `Study.ask` would refuse) raises JournalCorruptError naming it;
-    the study-meta record is seq 0.
+    field, a field of the wrong type, a value the study refuses, a space
+    the config would refuse, params that `Study.ask` would refuse) raises
+    JournalCorruptError naming it; the study-meta record is seq 0.
     """
+    from .config import parse_space  # config imports this module via orchestrator
+
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
     record = records[0]
     try:
         study = Study(
-            space=SearchSpace.from_dict(record["space"]),
+            space=parse_space(record["space"]),
             direction=record["direction"],
             seed=record["seed"],
         )

@@ -222,7 +222,9 @@ def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bo
     contents = read_journal(path) if resume and path.exists() else None
     records = contents[1] if contents else []
     if not records:
-        return Journal(path, meta=meta), create_study(config.space, config.direction, config.seed)
+        # build the study first: a seed it refuses leaves the old journal as it was
+        study = create_study(config.space, config.direction, config.seed)
+        return Journal(path, meta=meta), study
     if records[0].get("config_hash") != meta["config_hash"]:
         raise JournalError(
             f"{path} was written by another config (config_hash "

@@ -153,11 +153,8 @@ def fit_parzen(
     if n == 1:
         bandwidths[:, 1:] = (width / 2.0)[:, None]
     elif n > 1:
-        # one 1-D std per row, as a 1-D fit takes it: np.std(axis=1) of an
-        # F-ordered array sums in another order and differs in the last bit
-        for j, w in enumerate(width.tolist()):
-            sd = float(np.std(values[j], ddof=1))
-            bandwidths[j, 1:] = max(1.06 * sd * n ** (-0.2), w / min(100.0, n + 1.0))
+        scott = 1.06 * np.std(values, axis=1, ddof=1) * n ** (-0.2)
+        bandwidths[:, 1:] = np.maximum(scott, width / min(100.0, n + 1.0))[:, None]
     est = ParzenEstimator(
         centers=centers,
         bandwidths=bandwidths,

@@ -163,19 +163,6 @@ class SearchSpace:
                 out[name] = {"kind": d.kind, "low": d.low, "high": d.high}
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchSpace":
-        entries = {}
-        for name, spec in data.items():
-            kind = spec["kind"]
-            if kind == BOOLEAN:
-                entries[name] = boolean()
-            elif kind in (INT_CATEGORICAL, CHOICE):
-                entries[name] = Distribution(kind, choices=tuple(spec["choices"]))
-            else:
-                entries[name] = Distribution(kind, low=spec["low"], high=spec["high"])
-        return cls(entries)
-
 
 class TrialState(str, enum.Enum):
     RUNNING = "running"

@@ -159,6 +159,22 @@ class TestParseConfig:
                 surrogate(f"  translate: {{kind: choice, choices: {choices}}}\n")
         with pytest.raises(ConfigError, match=r"space\.lr: lr choices must be numbers"):
             surrogate("  lr: {kind: boolean}\n")
+        # flips are read as booleans, so only a choice of booleans suits them
+        for spec in (
+            "{kind: uniform-float, low: 0, high: 1}",
+            '{kind: choice, choices: ["no", "yes"]}',
+            "{kind: int-categorical, choices: [0, 5]}",
+            "{kind: choice, choices: [2020-01-01, 2021-01-01]}",
+            "{kind: choice, choices: [false, 1]}",
+        ):
+            with pytest.raises(
+                ConfigError, match=r"^space\.hflip: hflip choices must be booleans$"
+            ):
+                surrogate(f"  hflip: {spec}\n")
+        with pytest.raises(ConfigError, match=r"^space\.vflip: vflip choices must be booleans$"):
+            surrogate("  vflip: {kind: choice, choices: [0, 1]}\n")
+        for spec in ("{kind: boolean}", "{kind: choice, choices: [false, true]}"):
+            assert surrogate(f"  vflip: {spec}\n").space["vflip"].choices == (False, True)
         config = surrogate(
             "  lr: {kind: choice, choices: [1.0e-4, 1.0e-3]}\n"
             "  dropout: {kind: int-categorical, choices: [0]}\n"
@@ -479,6 +495,10 @@ class TestCliRun:
             (2, lambda r: r.update(metrics=[1, 2])),
             (2, lambda r: r.update(kind="intermediate", step=True, value=0.5)),
             (1, lambda r: r["params"].update(x=-1)),
+            (0, lambda r: r["space"]["x"].update(low=False)),
+            (0, lambda r: r["space"]["x"].update(high=True)),
+            (0, lambda r: r["space"]["x"].update(high="1")),
+            (0, lambda r: r["space"]["x"].update(choices=[1, 2])),
         ],
         ids=[
             "string trial_id",
@@ -486,18 +506,22 @@ class TestCliRun:
             "metrics not an object",
             "boolean step",
             "x outside its domain",
+            "boolean low",
+            "boolean high",
+            "string high",
+            "choices on a uniform-float",
         ],
     )
     def test_resume_refuses_a_hand_edited_record_and_keeps_its_journal(
         self, tmp_path, capsys, seq, edit
     ):
-        # trial 0's trial-start is seq 1, its trial-end seq 2
+        # the study-meta is seq 0, trial 0's trial-start seq 1, its trial-end seq 2
         argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
         assert main(argv) == 0
         journal = tmp_path / "journal.jsonl"
         lines = journal.read_text().splitlines()
         record = json.loads(lines[seq])
-        assert record["kind"] == ("trial-start" if seq == 1 else "trial-end")
+        assert record["kind"] == ("study-meta", "trial-start", "trial-end")[seq]
         edit(record)
         lines[seq] = json.dumps(record)
         journal.write_text("\n".join(lines) + "\n")
@@ -509,6 +533,17 @@ class TestCliRun:
         assert captured.err.startswith(f"error: record seq={seq}: ")
         assert captured.err.count("\n") == 1
         assert journal.read_bytes() == edited
+
+    def test_a_refused_seed_leaves_the_journal_in_place(self, tmp_path, capsys):
+        argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
+        assert main(argv) == 0
+        journal = tmp_path / "journal.jsonl"
+        written = journal.read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--set", "seed=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a 64-bit unsigned integer\n"
+        assert journal.read_bytes() == written
 
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         config_path, out = write_quadratic_config(tmp_path)

@@ -395,6 +395,27 @@ HAND_EDITS = {
     "list batch_size": (1, lambda r: r["params"].update(batch_size=[]), "'batch_size'"),
     "boolean batch_size": (1, lambda r: r["params"].update(batch_size=True), "'batch_size'"),
     "integer hflip": (1, lambda r: r["params"].update(hflip=1), "parameter 'hflip'"),
+    # a space spec the config would refuse: replay parses it as the config does
+    "boolean low": (
+        0,
+        lambda r: r["space"]["x"].update(low=False),
+        "study-meta: space.x.low: expected a number, got False",
+    ),
+    "boolean high": (
+        0,
+        lambda r: r["space"]["x"].update(high=True),
+        "study-meta: space.x.high: expected a number, got True",
+    ),
+    "string high": (
+        0,
+        lambda r: r["space"]["x"].update(high="1"),
+        "study-meta: space.x.high: expected a number, got '1'",
+    ),
+    "choices on a uniform-float": (
+        0,
+        lambda r: r["space"]["x"].update(choices=[1, 2]),
+        "study-meta: space.x.choices: unknown key",
+    ),
     # metrics the reports would fail to render
     "metrics without confusion": (
         2,
@@ -454,22 +475,26 @@ DELETE = object()
 
 def sweep_edits(records):
     """(seq, field path, value) for every field of every record, and every
-    field one level inside an object: deleted (DELETE) or set to each of
-    SWEEP_VALUES."""
+    field up to two levels inside an object (so each key of each entry of
+    study-meta's space): deleted (DELETE) or set to each of SWEEP_VALUES."""
     for seq, record in enumerate(records):
-        paths = []
-        for key, value in record.items():
-            paths.append((key,))
-            if isinstance(value, dict):
-                paths.extend((key, inner) for inner in value)
-        for path in paths:
+        for path in field_paths(record, depth=3):
             for value in (DELETE, *SWEEP_VALUES):
                 yield seq, path, value
 
 
+def field_paths(node, depth, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict) and depth > 1:
+            yield from field_paths(value, depth - 1, prefix + (key,))
+
+
 def edit_field(record, path, value):
     record = copy.deepcopy(record)
-    target = record[path[0]] if len(path) == 2 else record
+    target = record
+    for key in path[:-1]:
+        target = target[key]
     if value is DELETE:
         del target[path[-1]]
     else:
@@ -482,7 +507,8 @@ class TestFaultInjectionSweep:
         """`best` and `report` on each single-field edit of a 6-trial
         quadratic.yaml journal exit 0 or print one `error: ` line and exit 1.
         No sweep value is a float in [0, 1], so every edit of a trial-start's
-        params leaves the space and must be refused, as must a boolean seed."""
+        params leaves the space and must be refused, as must a boolean seed,
+        and a space spec key that is deleted or set to anything but a number."""
         run_dir = tmp_path / "run"
         config = str(CONFIG_DIR / "quadratic.yaml")
         overrides = ["--set", "policy.n_trials=6", "--set", f"output_dir={run_dir}"]
@@ -497,8 +523,12 @@ class TestFaultInjectionSweep:
             edited = list(lines)
             edited[seq] = json.dumps(edit_field(records[seq], field, value))
             path.write_text("\n".join(edited) + "\n")
-            refuse = (records[seq]["kind"] == KIND_TRIAL_START and field[0] == "params") or (
-                field == ("seed",) and type(value) is bool
+            # deleted (DELETE is an object), not an int or float, or NaN
+            not_a_number = type(value) not in (int, float) or math.isnan(value)
+            refuse = (
+                (records[seq]["kind"] == KIND_TRIAL_START and field[0] == "params")
+                or (field == ("seed",) and type(value) is bool)
+                or (len(field) == 3 and field[0] == "space" and not_a_number)
             )
             must_refuse += refuse
             for command in commands:
@@ -511,8 +541,9 @@ class TestFaultInjectionSweep:
                     ok = ok and status == 1 and err.startswith(f"error: record seq={seq}: ")
                 if not ok:
                     wrong.append((command[0], seq, field, value, status, err))
-        # 6 trials x (params and params.x) x 11 edits, and the two boolean seeds
-        assert must_refuse == 6 * 2 * 11 + 2
+        # 6 trials x (params and params.x) x 11 edits, the two boolean seeds,
+        # and space.x's kind, low and high x 8 edits that are not numbers
+        assert must_refuse == 6 * 2 * 11 + 2 + 3 * 8
         assert wrong == []
 
 

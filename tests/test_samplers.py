@@ -480,7 +480,7 @@ def parzen_rows(draw):
     into a cluster: packed clusters away from the edges push the
     truncation-mass arguments of their components past erf's saturation."""
     d = draw(st.integers(min_value=1, max_value=6))
-    n = draw(st.sampled_from([0, 1, 2, 8, 30, 100, 300]))
+    n = draw(st.sampled_from([0, 1, 2, 8, 30, 100, 300, 1000]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     values, lows, highs, logs = [], [], [], []
     for _ in range(d):

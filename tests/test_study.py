@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from studyforge.config import parse_space
 from studyforge.errors import OrderingError, StateError, ValidationError
 from studyforge.study import (
     MAXIMIZE,
@@ -111,7 +112,7 @@ class TestSearchSpace:
             mixed_space.validate_assignment(bad)
 
     def test_dict_round_trip(self, mixed_space):
-        assert SearchSpace.from_dict(mixed_space.to_dict()) == mixed_space
+        assert parse_space(mixed_space.to_dict()) == mixed_space
 
 
 class TestTrialLifecycle:
