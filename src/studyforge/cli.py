@@ -136,13 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_best(args.journal)
         if args.command == "split":
             return cmd_split(args.manifest, args.seed, args.mode, args.out)
-    except StudyForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (StudyForgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     parser.error(f"unknown command {args.command!r}")

@@ -231,6 +231,12 @@ def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bo
             f"{str(records[0].get('config_hash'))[:12]}, this config {meta['config_hash'][:12]})"
         )
     study_from_records(records)  # refuses a record it cannot replay, before any cut
+    # the study is rebuilt from study-meta: it must be what this config writes, as
+    # JSON text, since `==` holds for 1 and True and for a space in another order
+    got, written = records[0], {"seq": 0, "kind": journal_mod.KIND_META, **meta}
+    for key in {**written, **got}:
+        if key not in got or key not in written or json.dumps(got[key]) != json.dumps(written[key]):
+            raise JournalCorruptError(0, f"study-meta: {key} differs from this config's")
     keep = closed_prefix(records, config.direction, config.policy.save_threshold)
     study = study_from_records(records[:keep])
     return Journal(path, keep=keep, contents=contents), study

@@ -52,18 +52,13 @@ def should_prune(
     trial = study.trials[trial_id]
     if trial.state is not TrialState.RUNNING:
         raise StateError(f"trial {trial_id} is not running")
-    value = trial.intermediate_at(step)
+    value = dict(trial.intermediates).get(step)
     if value is None:
         raise StateError(f"trial {trial_id} has no intermediate at step {step}")
 
     if step < cfg.warmup_steps:
         return False
-    peer_values = [
-        v
-        for t in study.trials
-        if t.state is TrialState.COMPLETE
-        if (v := t.intermediate_at(step)) is not None
-    ]
+    peer_values = study.peers.get(step, [])
     if len(peer_values) < cfg.min_completed:
         return False
     med = _median(peer_values)

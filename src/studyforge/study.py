@@ -180,12 +180,6 @@ class TrialRecord:
     intermediates: list[tuple[int, float]] = field(default_factory=list)
     metrics: dict | None = None
 
-    def intermediate_at(self, step: int) -> float | None:
-        for s, v in self.intermediates:
-            if s == step:
-                return v
-        return None
-
 
 class Observations(list):
     """The history TPE learns from, kept current by `Study.tell`.
@@ -262,6 +256,8 @@ class Study:
         self.seed = seed
         self.trials: list[TrialRecord] = []
         self.observations = Observations(space)
+        # step -> values complete trials reported there: the median pruner's peers
+        self.peers: dict[int, list[float]] = {}
 
     # rng streams: (seed, trial_id, lane) so sampling and objective draws
     # never share a stream and replay is exact regardless of interleaving.
@@ -306,6 +302,8 @@ class Study:
             trial.state = TrialState.COMPLETE
             trial.final_value = float(value)
             self.observations.add(trial, trial.final_value, complete=True)
+            for step, v in trial.intermediates:
+                self.peers.setdefault(step, []).append(v)
         elif state in (TrialState.PRUNED, TrialState.FAILED):
             trial.state = state
             if state is TrialState.PRUNED and trial.intermediates:

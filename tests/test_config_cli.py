@@ -534,6 +534,45 @@ class TestCliRun:
         assert captured.err.count("\n") == 1
         assert journal.read_bytes() == edited
 
+    @pytest.mark.parametrize(
+        "config, edit, key",
+        [
+            ("configs/quadratic.yaml", lambda r: r["space"]["x"].update(low=-1), "space"),
+            ("configs/quadratic.yaml", lambda r: r.update(seed=8), "seed"),
+            ("configs/quadratic.yaml", lambda r: r.update(direction="maximize"), "direction"),
+            ("configs/quadratic.yaml", lambda r: r.update(note="hand-written"), "note"),
+            (
+                "perfbench/configs/tpe_sphere.yaml",
+                lambda r: r.update(space=dict(reversed(r["space"].items()))),
+                "space",
+            ),
+        ],
+        ids=["low -1", "seed 8", "direction maximize", "added key", "space in another order"],
+    )
+    def test_resume_refuses_a_study_meta_this_config_does_not_write(
+        self, tmp_path, capsys, config, edit, key
+    ):
+        # the study is rebuilt from the study-meta, so a replayable edit there
+        # must not pass under the config_hash it still carries
+        path = CONFIG_DIR.parent / config
+        argv = ["run", str(path), "--set", f"output_dir={tmp_path}", "--set", "policy.n_trials=20"]
+        assert main(argv) == 0
+        journal = tmp_path / "journal.jsonl"
+        lines = journal.read_text().splitlines()[:21]  # study-meta and 10 trials
+        meta = json.loads(lines[0])
+        edit(meta)
+        lines[0] = json.dumps(meta)
+        journal.write_text("\n".join(lines) + "\n")
+        edited = journal.read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: record seq=0: study-meta: {key} differs from this config's\n"
+        )
+        assert journal.read_bytes() == edited
+
     def test_a_refused_seed_leaves_the_journal_in_place(self, tmp_path, capsys):
         argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
         assert main(argv) == 0

@@ -117,10 +117,8 @@ def test_tells_in_any_order_match_the_trial_order_scan(case):
         assert_matches_scan(study)
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=told_trials())
-def test_a_study_rebuilt_from_records_matches_the_scan(case):
-    trials, order, direction = case
+def journal_records(trials, order, direction):
+    """The records of a journal that starts every trial, then tells them in order."""
     meta = {"space": SPACE.to_dict(), "direction": direction, "seed": 1}
     records = [{"seq": 0, "kind": KIND_META, **meta}]
 
@@ -137,7 +135,14 @@ def test_a_study_rebuilt_from_records_matches_the_scan(case):
             add(KIND_TRIAL_END, trial_id=i, state="complete", final_value=value)
         elif outcome != "running":
             add(KIND_TRIAL_END, trial_id=i, state=outcome)
-    study = study_from_records(records)
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=told_trials())
+def test_a_study_rebuilt_from_records_matches_the_scan(case):
+    trials, order, direction = case
+    study = study_from_records(journal_records(trials, order, direction))
     assert_matches_scan(study)
 
     twin = make_study(SPACE, direction=direction, seed=1)

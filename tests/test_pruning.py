@@ -1,12 +1,16 @@
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from studyforge.errors import StateError, ValidationError
+from studyforge.journal import study_from_records
 from studyforge.pruning import PrunerConfig, should_prune
-from studyforge.study import MAXIMIZE, MINIMIZE, SearchSpace, uniform
+from studyforge.study import MAXIMIZE, MINIMIZE, SearchSpace, TrialState, uniform
 
 from conftest import complete_trial, make_study, running_trial
+from test_observations import SPACE, journal_records, tell, told_trials
 
 
 def curve_study(direction, completed_curves, running_curve):
@@ -159,3 +163,66 @@ def _single_step_study(direction, peer_values, running_value, step):
         complete_trial(study, {"x": 0.5}, v, intermediates=[(step, v)])
     trial = running_trial(study, {"x": 0.5}, intermediates=[(step, running_value)])
     return study, trial
+
+
+def scan_peers(study):
+    """Reference: the complete trials' intermediates, by step, from a scan."""
+    peers = {}
+    for t in study.trials:
+        if t.state is TrialState.COMPLETE:
+            for step, v in t.intermediates:
+                peers.setdefault(step, []).append(v)
+    return {step: sorted(values) for step, values in peers.items()}
+
+
+def assert_prunes_as_the_scan(study, extra, cfg):
+    peers = scan_peers(study)
+    assert {step: sorted(values) for step, values in study.peers.items()} == peers
+    for step, value in extra.intermediates:
+        values = peers.get(step, [])
+        for direction in (MAXIMIZE, MINIMIZE):
+            study.direction = direction
+            expected = step >= cfg.warmup_steps and len(values) >= cfg.min_completed
+            if expected:
+                med = statistics.median(values)
+                expected = value < med if direction == MAXIMIZE else value > med
+            assert should_prune(study, extra.trial_id, step, cfg) is expected
+
+
+@st.composite
+def extra_curve(draw, trials):
+    """Steps 0-2 of a running trial: each value a fresh draw, or a value
+    that one of the trials reported at that step, so ties occur."""
+    curve = []
+    for step in range(3):
+        ties = [v for _, _, steps, _ in trials for s, v in steps if s == step]
+        value = draw(st.floats(-3, 3) | (st.sampled_from(ties) if ties else st.nothing()))
+        curve.append((step, value))
+    return curve
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    case=told_trials(),
+    warmup=st.integers(min_value=0, max_value=1),
+    min_completed=st.integers(min_value=1, max_value=4),
+)
+def test_peers_kept_by_tell_prune_as_a_scan_of_the_trials(data, case, warmup, min_completed):
+    trials, order, direction = case
+    curve = data.draw(extra_curve(trials))
+    cfg = PrunerConfig(warmup_steps=warmup, min_completed=min_completed)
+
+    study = make_study(SPACE, direction=direction, seed=1)
+    for params, _, steps, _ in trials:
+        running_trial(study, params, intermediates=steps)
+    extra = running_trial(study, {}, intermediates=curve)  # the pruner reads no params
+    assert_prunes_as_the_scan(study, extra, cfg)
+    for i in order:
+        _, outcome, _, value = trials[i]
+        tell(study, i, outcome, value)
+        assert_prunes_as_the_scan(study, extra, cfg)
+
+    rebuilt = study_from_records(journal_records(trials, order, direction))
+    extra = running_trial(rebuilt, {}, intermediates=curve)
+    assert_prunes_as_the_scan(rebuilt, extra, cfg)
