@@ -19,7 +19,7 @@ from .errors import ConfigError, ValidationError
 from .manifest import DEFAULT_RATIOS, TASK_CLASSES, check_ratios
 from .orchestrator import RunPolicy, direction_for_objective
 from .pruning import PrunerConfig
-from .samplers import TpeConfig
+from .samplers import TpeConfig, grid_enumerate
 from .study import (
     BOOLEAN,
     CHOICE,
@@ -294,6 +294,12 @@ def config_from_mapping(raw) -> ExperimentConfig:
 
     sampler_node = _take(raw, "sampler", "", default={})
     sampler = _parse_sampler(sampler_node, "sampler")
+    if sampler.kind == "grid":
+        # the rule the first ask applies, refused before a journal is written
+        try:
+            grid_enumerate(space, sampler.resolution)
+        except ValidationError as exc:
+            raise ConfigError(str(exc), path="sampler.resolution") from None
 
     pruner = None
     if "pruner" in raw:

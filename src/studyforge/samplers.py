@@ -9,8 +9,8 @@ a mixture. Random search is also the fallback before enough trials exist.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,11 +244,37 @@ def suggest_random(space: SearchSpace, rng: np.random.Generator) -> dict:
     return params
 
 
-def grid_enumerate(space: SearchSpace, resolution: int) -> list[dict]:
+class GridCells(Sequence):
+    """The grid's cells, row-major over the space's entry order, decoded on
+    demand: ``cells[i]`` reads ``i`` in mixed radix, last axis fastest, so
+    it is ``itertools.product``'s i-th cell without building the product.
+    ``size`` is the cell count as a plain int; ``len`` raises past
+    ``sys.maxsize``."""
+
+    def __init__(self, names: list[str], axes: list[list]):
+        self.names, self.axes = names, axes
+        self.size = math.prod(len(axis) for axis in axes)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> dict:
+        if not 0 <= index < self.size:
+            raise IndexError(f"cell {index} outside a grid of {self.size}")
+        digits = []
+        for axis in reversed(self.axes):
+            index, digit = divmod(index, len(axis))
+            digits.append(axis[digit])
+        return dict(zip(self.names, reversed(digits)))
+
+
+def grid_enumerate(space: SearchSpace, resolution: int) -> GridCells:
     """Cartesian product, row-major over the space's entry order.
 
     Continuous axes get `resolution` evenly spaced points including both
     endpoints (log-evenly for log-uniform); discrete axes use all choices.
+    Builds each axis once, O(dims * resolution); no cell is built until
+    it is indexed.
     """
     if len(space) == 0:
         raise ValidationError("empty space")
@@ -269,8 +295,7 @@ def grid_enumerate(space: SearchSpace, resolution: int) -> list[dict]:
             else:
                 pts = np.linspace(dist.low, dist.high, resolution)
             axes.append([float(p) for p in pts])
-    names = space.names
-    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+    return GridCells(space.names, axes)
 
 
 def trial_observations(study: Study) -> Observations:
@@ -359,7 +384,8 @@ class RandomSampler:
 
 
 class GridSampler:
-    """Walks the grid in enumeration order; raises once exhausted."""
+    """Walks the grid in enumeration order; raises once exhausted. An ask
+    decodes one cell, O(dims * resolution), and builds no product."""
 
     def __init__(self, resolution: int = 5):
         self.resolution = resolution
@@ -367,10 +393,8 @@ class GridSampler:
     def suggest(self, study: Study, rng: np.random.Generator) -> dict:
         cells = grid_enumerate(study.space, self.resolution)
         index = len(study.trials)
-        if index >= len(cells):
-            raise ExhaustedSearchError(
-                f"grid of {len(cells)} cells fully consumed"
-            )
+        if index >= cells.size:
+            raise ExhaustedSearchError(f"grid of {cells.size} cells fully consumed")
         return cells[index]
 
 

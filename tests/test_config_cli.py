@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from studyforge.errors import ConfigError
 from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.orchestrator import config_hash
+from studyforge.samplers import grid_enumerate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GRID_YAML = CONFIG_DIR.parent / "perfbench" / "configs" / "grid_sphere.yaml"
 
 QUADRATIC_YAML = """\
 objective: quadratic-1d
@@ -142,7 +145,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"space\.lr"):
             surrogate("  lr: {kind: uniform-float, low: 0.0, high: 1.0e-3}\n")
         with pytest.raises(ConfigError, match=r"space\.batch_size"):
-            surrogate("  batch_size: {kind: int-categorical, choices: [8, 16]}\n  batch_size2: 1\n" if False else "  batch_size: {kind: uniform-float, low: 8, high: 128}\n")
+            surrogate("  batch_size: {kind: uniform-float, low: 8, high: 128}\n")
         with pytest.raises(ConfigError, match=r"space\.momentum"):
             surrogate("  momentum: {kind: uniform-float, low: 0.0, high: 1.0}\n")
         # every choice a sampler can draw is held to the same rules as a range
@@ -584,6 +587,28 @@ class TestCliRun:
         assert captured.err == "error: seed must be a 64-bit unsigned integer\n"
         assert journal.read_bytes() == written
 
+    @pytest.mark.parametrize("resolution", [1, 0])
+    def test_a_grid_without_two_points_per_axis_is_refused_before_a_journal(
+        self, tmp_path, capsys, resolution
+    ):
+        out = tmp_path / "out"
+        argv = ["run", str(GRID_YAML), "--set", f"sampler.resolution={resolution}"]
+        assert main([*argv, "--set", f"output_dir={out}"]) == 1
+        assert capsys.readouterr().err == (
+            "error: sampler.resolution: resolution must be >= 2 for continuous parameter 'x0'\n"
+        )
+        assert not (out / "journal.jsonl").exists()
+
+    def test_a_grid_of_more_than_maxsize_cells_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", str(GRID_YAML), "--set", "sampler.resolution=100000"]
+        assert main([*argv, "--set", "policy.n_trials=3", "--set", f"output_dir={out}"]) == 0
+        cells = grid_enumerate(parse_config(GRID_YAML.read_text()).space, 100000)
+        assert cells.size == 10**20 > sys.maxsize
+        records = read_records(out / "journal.jsonl")
+        starts = [r["params"] for r in records if r["kind"] == "trial-start"]
+        assert starts == [cells[i] for i in range(3)]
+
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         config_path, out = write_quadratic_config(tmp_path)
         monkeypatch.setenv("STUDYFORGE_SEED", "77")
@@ -789,6 +814,14 @@ class TestJournalPins:
                 "maximize",
                 "6ffd0a85028c8e48e69c0f33695e10ae9b7c3ea3f5ffc5698af34fdc32bd2028",
             ),
+            # the first 300 of 10^4 grid cells (recorded while an ask still
+            # built the whole product)
+            (
+                "perfbench/configs/grid_sphere.yaml",
+                [],
+                "minimize",
+                "6b8da7c210485d903af2252ea45c3319d86e5a89879d1791775e68b7f43ae773",
+            ),
         ],
     )
     def test_journal_is_pinned(self, tmp_path, monkeypatch, config, overrides, direction, digest):
@@ -870,6 +903,7 @@ class TestReportReplay:
             ("configs/quadratic.yaml", [], False),
             ("configs/pruned_surrogate.yaml", [], False),
             ("perfbench/configs/grid_sphere.yaml", ["policy.n_trials=50"], False),
+            ("perfbench/configs/grid_sphere.yaml", ["policy.n_trials=50"], True),
             ("perfbench/configs/tpe_sphere.yaml", ["policy.n_trials=150"], False),
             # cut inside the trial after the best one: the resumed run's
             # confusion.csv and f1.csv come from the replay of the kept prefix
@@ -900,7 +934,7 @@ class TestReportReplay:
         written = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         assert written.pop("journal.jsonl") and written.pop("best.json")
         assert rebuilt == written
-        if resume:
+        if config == "configs/default.yaml":
             assert {"confusion.csv", "f1.csv"} <= rebuilt.keys()
 
     # sha256 of every file `report` writes (in both formats) and of `best`'s

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -71,7 +72,7 @@ class TestGridEnumerate:
 
     def test_single_boolean(self):
         cells = grid_enumerate(SearchSpace({"flip": boolean()}), resolution=2)
-        assert cells == [{"flip": False}, {"flip": True}]
+        assert list(cells) == [{"flip": False}, {"flip": True}]
 
     def test_even_spacing_includes_endpoints(self):
         cells = grid_enumerate(SearchSpace({"x": uniform(0.0, 1.0)}), resolution=3)
@@ -80,7 +81,7 @@ class TestGridEnumerate:
     def test_row_major_over_entry_order(self):
         space = SearchSpace({"a": int_categorical([1, 2]), "b": int_categorical([10, 20])})
         cells = grid_enumerate(space, resolution=2)
-        assert cells == [
+        assert list(cells) == [
             {"a": 1, "b": 10},
             {"a": 1, "b": 20},
             {"a": 2, "b": 10},
@@ -102,6 +103,54 @@ class TestGridEnumerate:
         space = SearchSpace({"lr": log_uniform(1e-4, 1e-3), "x": uniform(-2, 3)})
         for cell in grid_enumerate(space, resolution=7):
             space.validate_assignment(cell)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        axes=st.lists(
+            st.one_of(
+                st.tuples(st.just("linear"), st.floats(-10, 10), st.floats(0.1, 10)),
+                st.tuples(st.just("log"), st.floats(-6, 0), st.floats(0.5, 4)),
+                st.tuples(st.just("ints"), st.sets(st.integers(-50, 50), min_size=1, max_size=4)),
+                st.tuples(st.just("choice"), st.integers(1, 4)),
+                st.tuples(st.just("boolean")),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        resolution=st.integers(2, 6),
+    )
+    def test_decode_is_the_row_major_product(self, axes, resolution):
+        entries, reference = {}, []
+        for i, (kind, *args) in enumerate(axes):
+            if kind == "linear":
+                low, width = args
+                entries[f"p{i}"] = uniform(low, low + width)
+                pts = np.linspace(low, low + width, resolution).tolist()
+            elif kind == "log":
+                low, decades = 10.0 ** args[0], args[1]
+                high = low * 10.0**decades
+                entries[f"p{i}"] = log_uniform(low, high)
+                pts = np.exp(np.linspace(math.log(low), math.log(high), resolution))
+                pts = np.clip(pts, low, high).tolist()
+            elif kind == "ints":
+                pts = sorted(args[0])
+                entries[f"p{i}"] = int_categorical(pts)
+            elif kind == "choice":
+                pts = [f"v{j}" for j in range(args[0])]
+                entries[f"p{i}"] = choice(pts)
+            else:
+                entries[f"p{i}"], pts = boolean(), [False, True]
+            reference.append(pts)
+        names = list(entries)
+        expected = [dict(zip(names, combo)) for combo in itertools.product(*reference)]
+        cells = grid_enumerate(SearchSpace(entries), resolution)
+        assert len(cells) == math.prod(len(axis) for axis in reference) == len(expected)
+        assert list(cells) == expected
+        assert repr(list(cells)) == repr(expected)
+        with pytest.raises(IndexError):
+            cells[len(cells)]
+        with pytest.raises(IndexError):
+            cells[-1]
 
 
 class TestGridSampler:
