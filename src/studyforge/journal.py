@@ -1,7 +1,9 @@
 """Append-only JSON-lines journal with torn-write-tolerant replay.
 
 Each record is one JSON object per line with a strictly increasing `seq`;
-the first record is the study metadata. Every append is flushed before it
+the first record is the study metadata. Trials follow one at a time: a
+trial-start, its intermediates, a trial-end, and the checkpoint a complete
+trial may earn. Every append is flushed before it
 returns, so a process crash loses nothing. Only the records that close a
 unit of work (`study-meta`, `trial-end`, `checkpoint`) are fsynced, and one
 fsync makes every earlier byte durable: a power loss can drop only the
@@ -163,13 +165,15 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
 
 
 def study_from_records(records: list[dict]) -> Study:
-    """Rebuild the study state; trials left mid-flight become failed.
+    """Rebuild the study state; a trial left mid-flight becomes failed.
 
     The study-meta's space is parsed as the config parses its ``space``.
-    A record whose fields do not fit what replay reads from it (a missing
-    field, a field of the wrong type, a value the study refuses, a space
-    the config would refuse, params that `Study.ask` would refuse) raises
-    JournalCorruptError naming it; the study-meta record is seq 0.
+    A record off the grammar (a trial-start while a trial is open, a
+    checkpoint that is not what `run_study` writes right after its trial's
+    complete trial-end) or whose fields do not fit what replay reads from
+    it (a missing field, a field of the wrong type, a value the study
+    refuses, a space or params the config or `Study.ask` would refuse)
+    raises JournalCorruptError naming it; the study-meta record is seq 0.
     """
     from .config import parse_space  # config imports this module via orchestrator
 
@@ -182,7 +186,7 @@ def study_from_records(records: list[dict]) -> Study:
             direction=record["direction"],
             seed=record["seed"],
         )
-        for record in records[1:]:
+        for i, record in enumerate(records[1:], 1):
             kind = record["kind"]
             if kind == KIND_TRIAL_START:
                 trial_id = record["trial_id"]
@@ -190,9 +194,13 @@ def study_from_records(records: list[dict]) -> Study:
                     raise JournalCorruptError(
                         record["seq"], f"trial-start id {trial_id!r} out of order"
                     )
+                if trial_id and study.trials[-1].state is TrialState.RUNNING:
+                    raise StateError(f"trial {trial_id - 1} is still running")
                 params = record["params"]
                 study.space.validate_assignment(params)
                 study.trials.append(TrialRecord(trial_id=trial_id, params=params))
+            # with one trial open at a time, the study refuses an intermediate
+            # or trial-end of any trial but the one started last
             elif kind == KIND_INTERMEDIATE:
                 study.report_intermediate(record["trial_id"], record["step"], record["value"])
             elif kind == KIND_TRIAL_END:
@@ -207,16 +215,36 @@ def study_from_records(records: list[dict]) -> Study:
                     trial.metrics = _metrics(record.get("metrics"))
                 else:
                     study.tell(record["trial_id"], state=state)
-            # checkpoints carry no study state
+            else:  # a checkpoint, of the trial whose trial-end is just before it
+                trial = study.trials[-1] if records[i - 1]["kind"] == KIND_TRIAL_END else None
+                if trial is None or trial.state is not TrialState.COMPLETE:
+                    raise ValueError("does not follow a complete trial-end")
+                written = {"seq": record["seq"], "kind": kind, **checkpoint_payload(trial)}
+                if (key := differing_key(record, written)) is not None:
+                    raise ValueError(f"{key} is not trial {trial.trial_id}'s")
     # caught, not checked per record, so a clean replay pays nothing for it
     except KeyError as exc:
         raise JournalCorruptError(record["seq"], f"{record['kind']}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError, AttributeError, StateError) as exc:
         raise JournalCorruptError(record["seq"], f"{record['kind']}: {exc}") from None
-    for trial in study.trials:
-        if trial.state is TrialState.RUNNING:
-            trial.state = TrialState.FAILED
+    if study.trials and study.trials[-1].state is TrialState.RUNNING:
+        study.trials[-1].state = TrialState.FAILED
     return study
+
+
+def checkpoint_payload(trial: TrialRecord) -> dict:
+    """The checkpoint fields of a complete trial: what `run_study` writes
+    and what replay requires of a checkpoint."""
+    return {"trial_id": trial.trial_id, "value": trial.final_value, "best_params": trial.params}
+
+
+def differing_key(got: dict, want: dict) -> str | None:
+    """The first key one record lacks or holds as other JSON text than the
+    other (`==` holds for 1 and True, and for objects in another order)."""
+    for key in {**want, **got}:
+        if key not in got or key not in want or json.dumps(got[key]) != json.dumps(want[key]):
+            return key
+    return None
 
 
 def _metrics(metrics):

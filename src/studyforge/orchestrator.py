@@ -7,8 +7,8 @@ meets save_threshold and improves on the prior best, a checkpoint record
 is written; once a completed value meets stop_threshold, no further
 trials start.
 
-A resumed run keeps the journal's closed trials, cuts back before the
-first trial still in flight and continues from its id; per-trial RNG
+A resumed run replays the journal once, reruns a last trial left in
+flight or writes its missing due checkpoint, and goes on; per-trial RNG
 streams are keyed on [seed, trial_id, lane], so a run that is interrupted
 and resumed writes the same bytes as one that is not.
 """
@@ -177,48 +177,17 @@ def next_best(
 ) -> tuple[float | None, bool]:
     """The best value once a trial completes with ``value``, and whether
     that trial earns a checkpoint: it improves on ``best`` and meets
-    ``save_threshold``. Both a run and a resume's cut decide by this."""
+    ``save_threshold``. Both a run and a resume decide by this."""
     if not is_improvement(direction, value, best):
         return best, False
     return value, save_threshold is not None and meets_threshold(direction, value, save_threshold)
 
 
-def closed_prefix(records: list[dict], direction: str, save_threshold) -> int:
-    """How many leading records hold only closed trials.
-
-    A trial is closed by its trial-end and, when that end earned a
-    checkpoint, by the checkpoint right after it. The prefix stops before
-    the first trial that is not closed, and before any trial whose records
-    run past that point (journals from older two-worker runs interleave
-    trials). Replay the records first: the only field it checks is each
-    record's trial id, which replay does not read from a checkpoint.
-    """
-    start, last, closed = {}, {}, set()
-    best = None
-    for i, record in enumerate(records[1:], 1):
-        trial_id = record.get("trial_id")
-        if type(trial_id) is not int:
-            raise JournalCorruptError(i, f"{record['kind']}: trial_id {trial_id!r} is not an int")
-        start.setdefault(trial_id, i)
-        last[trial_id] = i
-        if record["kind"] != journal_mod.KIND_TRIAL_END:
-            continue
-        if record["state"] != TrialState.COMPLETE.value:
-            closed.add(trial_id)
-            continue
-        best, due = next_best(direction, record["final_value"], best, save_threshold)
-        after = records[i + 1] if i + 1 < len(records) else {}
-        if not due or after.get("kind") == journal_mod.KIND_CHECKPOINT:
-            closed.add(trial_id)
-    cut = min((i for t, i in start.items() if t not in closed), default=len(records))
-    while late := [i for t, i in start.items() if i < cut <= last[t]]:
-        cut = min(late)
-    return cut
-
-
 def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bool):
-    """A fresh journal, or with ``resume`` the existing one cut back to its
-    closed trials, and the study that the kept trials rebuild."""
+    """A fresh journal, or with ``resume`` the existing one and the study it
+    replays to, which refuses a bad record before anything is cut. An open
+    last trial is cut back to its trial-start and left out of the study; a
+    due checkpoint missing after the last trial-end is written."""
     contents = read_journal(path) if resume and path.exists() else None
     records = contents[1] if contents else []
     if not records:
@@ -230,16 +199,23 @@ def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bo
             f"{path} was written by another config (config_hash "
             f"{str(records[0].get('config_hash'))[:12]}, this config {meta['config_hash'][:12]})"
         )
-    study_from_records(records)  # refuses a record it cannot replay, before any cut
-    # the study is rebuilt from study-meta: it must be what this config writes, as
-    # JSON text, since `==` holds for 1 and True and for a space in another order
-    got, written = records[0], {"seq": 0, "kind": journal_mod.KIND_META, **meta}
-    for key in {**written, **got}:
-        if key not in got or key not in written or json.dumps(got[key]) != json.dumps(written[key]):
-            raise JournalCorruptError(0, f"study-meta: {key} differs from this config's")
-    keep = closed_prefix(records, config.direction, config.policy.save_threshold)
-    study = study_from_records(records[:keep])
-    return Journal(path, keep=keep, contents=contents), study
+    study = study_from_records(records)
+    # the study is rebuilt from study-meta: it must be what this config writes
+    key = journal_mod.differing_key(records[0], {"seq": 0, "kind": journal_mod.KIND_META, **meta})
+    if key is not None:
+        raise JournalCorruptError(0, f"study-meta: {key} differs from this config's")
+    keep, last = len(records), records[-1]["kind"]
+    if last in (journal_mod.KIND_TRIAL_START, journal_mod.KIND_INTERMEDIATE):
+        # the open trial's records: its trial-start and one per intermediate
+        keep -= 1 + len(study.trials.pop().intermediates)
+    journal = Journal(path, keep=keep, contents=contents)
+    if last == journal_mod.KIND_TRIAL_END and study.trials[-1].state is TrialState.COMPLETE:
+        best, save_threshold = None, config.policy.save_threshold
+        for trial in study.completed_trials():  # the last one is the journal's last trial
+            best, due = next_best(config.direction, trial.final_value, best, save_threshold)
+        if due:
+            journal.append(journal_mod.KIND_CHECKPOINT, **journal_mod.checkpoint_payload(trial))
+    return journal, study
 
 
 def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = False) -> StudyResult:
@@ -313,12 +289,7 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
                 continue
             best_value, due = next_best(direction, value, best_value, policy.save_threshold)
             if due:
-                journal.append(
-                    journal_mod.KIND_CHECKPOINT,
-                    trial_id=trial_id,
-                    value=value,
-                    best_params=trial.params,
-                )
+                journal.append(journal_mod.KIND_CHECKPOINT, **journal_mod.checkpoint_payload(trial))
             stop = policy.stop_threshold is not None and meets_threshold(
                 direction, value, policy.stop_threshold
             )

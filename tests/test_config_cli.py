@@ -576,6 +576,40 @@ class TestCliRun:
         )
         assert journal.read_bytes() == edited
 
+    @pytest.mark.parametrize("command", ["run --resume", "best", "report"])
+    @pytest.mark.parametrize("case, seq", [("interleaved", 2), ("checkpoint value", 3)])
+    def test_a_journal_off_its_grammar_is_refused_in_one_line(
+        self, tmp_path, capsys, command, case, seq
+    ):
+        """Every command that replays a journal refuses one whose trials
+        interleave, or whose checkpoint is not what its trial earned."""
+        argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
+        argv += ["--set", "policy.n_trials=6", "--set", "policy.save_threshold=0.5"]
+        assert main(argv) == 0
+        journal = tmp_path / "journal.jsonl"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        # trial 0's trial-end is seq 2 and its checkpoint seq 3; trial 1 starts at seq 4
+        assert [r["kind"] for r in records[2:5]] == ["trial-end", "checkpoint", "trial-start"]
+        if case == "interleaved":
+            records[2:5] = [records[4], *records[2:4]]
+        else:
+            records[3]["value"] = -5.0
+        lines = [json.dumps({**r, "seq": i}) for i, r in enumerate(records)]
+        journal.write_text("\n".join(lines) + "\n")
+        edited = journal.read_bytes()
+        capsys.readouterr()
+        commands = {
+            "run --resume": [*argv, "--resume"],
+            "best": ["best", str(journal)],
+            "report": ["report", str(journal), "--out", str(tmp_path / "report")],
+        }
+        assert main(commands[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: record seq={seq}: ")
+        assert captured.err.count("\n") == 1
+        assert journal.read_bytes() == edited
+
     def test_a_refused_seed_leaves_the_journal_in_place(self, tmp_path, capsys):
         argv = ["run", str(CONFIG_DIR / "quadratic.yaml"), "--set", f"output_dir={tmp_path}"]
         assert main(argv) == 0

@@ -299,19 +299,25 @@ class TestStudyReconstruction:
             params = {"x": 0.1, "batch_size": 8, "hflip": False}
             journal.append(KIND_TRIAL_START, trial_id=0, params=params)
             journal.append(KIND_TRIAL_END, trial_id=0, state="complete", final_value=0.1)
-            journal.append(KIND_CHECKPOINT, trial_id=0, params=params, value=0.1)
+            journal.append(KIND_CHECKPOINT, trial_id=0, value=0.1, best_params=params)
         study = resume_study(path)
         assert len(study.trials) == 1
         assert study.trials[0].state is TrialState.COMPLETE
 
 
 def journal_with(path, start_params=None, end_state="complete"):
-    """A demo journal with one trial whose trial-start (seq 1) carries
-    ``start_params`` and whose trial-end (seq 2) carries ``end_state``."""
+    """A demo journal of two checkpointed trials. Trial 0's trial-start
+    (seq 1) carries ``start_params``, its trial-end (seq 2) ``end_state``,
+    and its checkpoint is seq 3; trial 1 is seqs 4-6."""
     params = {"x": 0.5, "batch_size": 8, "hflip": False}
+    better = {"x": 0.25, "batch_size": 16, "hflip": True}
     with Journal(path, meta=meta_for(demo_space())) as journal:
         journal.append(KIND_TRIAL_START, trial_id=0, params=start_params or params)
         journal.append(KIND_TRIAL_END, trial_id=0, state=end_state, final_value=0.5)
+        journal.append(KIND_CHECKPOINT, trial_id=0, value=0.5, best_params=params)
+        journal.append(KIND_TRIAL_START, trial_id=1, params=better)
+        journal.append(KIND_TRIAL_END, trial_id=1, state="complete", final_value=0.25)
+        journal.append(KIND_CHECKPOINT, trial_id=1, value=0.25, best_params=better)
     return path
 
 
@@ -423,6 +429,33 @@ HAND_EDITS = {
         "trial-end: metrics need",
     ),
     "metrics not an object": (2, lambda r: r.update(metrics=[1, 2]), "trial-end: metrics need"),
+    # the grammar run_study writes: one trial open at a time, and after a
+    # complete trial-end only the checkpoint that trial earned
+    "trial-start while another trial is open": (
+        2,
+        lambda r: r.update(kind=KIND_TRIAL_START, trial_id=1, params={"x": 0.5}),
+        "trial-start: trial 0 is still running",
+    ),
+    "checkpoint after a checkpoint": (
+        4,
+        lambda r: r.update(kind=KIND_CHECKPOINT, trial_id=0, value=0.5),
+        "checkpoint: does not follow a complete trial-end",
+    ),
+    "checkpoint value": (3, lambda r: r.update(value=-5.0), "checkpoint: value is not trial 0's"),
+    "checkpoint best_params": (
+        3,
+        lambda r: r["best_params"].update(x=0.25),
+        "checkpoint: best_params is not trial 0's",
+    ),
+    "boolean checkpoint trial_id": (
+        6,
+        lambda r: r.update(trial_id=True),
+        "checkpoint: trial_id is not trial 1's",
+    ),
+    "checkpoint without trial_id": (3, lambda r: r.pop("trial_id"), "checkpoint: trial_id is"),
+    "null checkpoint trial_id": (3, lambda r: r.update(trial_id=None), "checkpoint: trial_id is"),
+    "list checkpoint trial_id": (3, lambda r: r.update(trial_id=[0]), "checkpoint: trial_id is"),
+    "string checkpoint trial_id": (3, lambda r: r.update(trial_id="0"), "checkpoint: trial_id is"),
 }
 
 
@@ -508,13 +541,18 @@ class TestFaultInjectionSweep:
         quadratic.yaml journal exit 0 or print one `error: ` line and exit 1.
         No sweep value is a float in [0, 1], so every edit of a trial-start's
         params leaves the space and must be refused, as must a boolean seed,
-        and a space spec key that is deleted or set to anything but a number."""
+        a space spec key that is deleted or set to anything but a number,
+        and any edit of a checkpoint: it must be what its trial earned."""
         run_dir = tmp_path / "run"
         config = str(CONFIG_DIR / "quadratic.yaml")
         overrides = ["--set", "policy.n_trials=6", "--set", f"output_dir={run_dir}"]
+        overrides += ["--set", "policy.save_threshold=0.5"]
         assert main(["run", config, *overrides]) == 0
         lines = (run_dir / "journal.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
+        # two checkpoints, neither the last record (a torn last line is dropped)
+        checkpoints = [r["seq"] for r in records if r["kind"] == KIND_CHECKPOINT]
+        assert len(checkpoints) == 2 and checkpoints[-1] < len(records) - 1
         path = tmp_path / "edited.jsonl"
         commands = (["best", str(path)], ["report", str(path), "--out", str(tmp_path / "out")])
         capsys.readouterr()
@@ -527,6 +565,7 @@ class TestFaultInjectionSweep:
             not_a_number = type(value) not in (int, float) or math.isnan(value)
             refuse = (
                 (records[seq]["kind"] == KIND_TRIAL_START and field[0] == "params")
+                or records[seq]["kind"] == KIND_CHECKPOINT
                 or (field == ("seed",) and type(value) is bool)
                 or (len(field) == 3 and field[0] == "space" and not_a_number)
             )
@@ -542,8 +581,10 @@ class TestFaultInjectionSweep:
                 if not ok:
                     wrong.append((command[0], seq, field, value, status, err))
         # 6 trials x (params and params.x) x 11 edits, the two boolean seeds,
-        # and space.x's kind, low and high x 8 edits that are not numbers
-        assert must_refuse == 6 * 2 * 11 + 2 + 3 * 8
+        # space.x's kind, low and high x 8 edits that are not numbers, and
+        # 2 checkpoints x (seq, kind, trial_id, value, best_params and
+        # best_params.x) x 11 edits
+        assert must_refuse == 6 * 2 * 11 + 2 + 3 * 8 + 2 * 6 * 11
         assert wrong == []
 
 

@@ -223,6 +223,6 @@ def test_peers_kept_by_tell_prune_as_a_scan_of_the_trials(data, case, warmup, mi
         tell(study, i, outcome, value)
         assert_prunes_as_the_scan(study, extra, cfg)
 
-    rebuilt = study_from_records(journal_records(trials, order, direction))
+    rebuilt = study_from_records(journal_records(trials, direction))
     extra = running_trial(rebuilt, {}, intermediates=curve)
     assert_prunes_as_the_scan(rebuilt, extra, cfg)

@@ -10,7 +10,7 @@ import pytest
 from studyforge import journal as journal_mod
 from studyforge import orchestrator
 from studyforge.config import ExperimentConfig, SamplerSpec
-from studyforge.errors import DivergenceError, JournalCorruptError, JournalError
+from studyforge.errors import DivergenceError, JournalError
 from studyforge.journal import (
     KIND_CHECKPOINT,
     KIND_INTERMEDIATE,
@@ -20,7 +20,7 @@ from studyforge.journal import (
     Journal,
     read_records,
 )
-from studyforge.orchestrator import RunPolicy, closed_prefix, run_study
+from studyforge.orchestrator import RunPolicy, run_study
 from studyforge.pruning import PrunerConfig
 from studyforge.samplers import TpeConfig
 from studyforge.study import SearchSpace, log_uniform, uniform
@@ -152,70 +152,6 @@ class TestGroupCommit:
         assert counting_os.fsyncs == 3
 
 
-class TestClosedPrefix:
-    def records(self, *rows):
-        out = [{"seq": 0, "kind": KIND_META}]
-        for kind, trial_id, extra in rows:
-            out.append({"seq": len(out), "kind": kind, "trial_id": trial_id, **extra})
-        return out
-
-    def test_open_trial_and_everything_after_it_are_cut(self):
-        records = self.records(
-            (KIND_TRIAL_START, 0, {}),
-            (KIND_TRIAL_END, 0, {"state": "pruned"}),
-            (KIND_TRIAL_START, 1, {}),
-            (KIND_INTERMEDIATE, 1, {}),
-        )
-        assert closed_prefix(records, "minimize", None) == 3
-
-    def test_missing_due_checkpoint_keeps_the_trial_in_flight(self):
-        ended = self.records(
-            (KIND_TRIAL_START, 0, {}),
-            (KIND_TRIAL_END, 0, {"state": "complete", "final_value": 0.01}),
-        )
-        assert closed_prefix(ended, "minimize", 0.05) == 1
-        assert closed_prefix(ended, "minimize", None) == 3
-        assert closed_prefix(ended, "minimize", 0.001) == 3
-        checkpointed = ended + [{"seq": 3, "kind": KIND_CHECKPOINT, "trial_id": 0}]
-        assert closed_prefix(checkpointed, "minimize", 0.05) == 4
-
-    def test_no_checkpoint_is_due_without_an_improvement(self):
-        records = self.records(
-            (KIND_TRIAL_START, 0, {}),
-            (KIND_TRIAL_END, 0, {"state": "complete", "final_value": 0.01}),
-            (KIND_CHECKPOINT, 0, {}),
-            (KIND_TRIAL_START, 1, {}),
-            (KIND_TRIAL_END, 1, {"state": "complete", "final_value": 0.02}),
-        )
-        assert closed_prefix(records, "minimize", 0.05) == len(records)
-
-    def test_interleaved_trial_that_outlives_the_cut_goes_with_it(self):
-        # two workers: trial 0 ends after trial 1 started and never ended
-        records = self.records(
-            (KIND_TRIAL_START, 0, {}),
-            (KIND_TRIAL_START, 1, {}),
-            (KIND_INTERMEDIATE, 0, {}),
-            (KIND_TRIAL_END, 0, {"state": "failed"}),
-            (KIND_TRIAL_START, 2, {}),
-            (KIND_TRIAL_END, 2, {"state": "failed"}),
-        )
-        assert closed_prefix(records, "maximize", None) == 1
-
-
-    @pytest.mark.parametrize("trial_id", [None, [0], "0", True])
-    def test_a_checkpoint_without_an_int_trial_id_is_refused(self, trial_id):
-        # replay skips checkpoints, so this field is checked here
-        records = self.records(
-            (KIND_TRIAL_START, 0, {}),
-            (KIND_TRIAL_END, 0, {"state": "complete", "final_value": 0.01}),
-            (KIND_CHECKPOINT, trial_id, {}),
-        )
-        if trial_id is None:
-            del records[3]["trial_id"]
-        with pytest.raises(JournalCorruptError, match="seq=3: checkpoint: trial_id"):
-            closed_prefix(records, "minimize", 0.05)
-
-
 class TestResume:
     @pytest.fixture
     def stepwise(self, monkeypatch):
@@ -223,6 +159,23 @@ class TestResume:
         fake = CountingOs(real_fsync=False)
         monkeypatch.setattr(journal_mod, "os", fake)
         return fake
+
+    @pytest.fixture
+    def ran(self, stepwise, monkeypatch):
+        """The ids of the trials the stepwise objective runs, in order."""
+        ran = []
+
+        def objective(config):
+            inner = stepwise_objective(config)
+
+            def run(params, reporter, seed):
+                ran.append(seed[1])
+                return inner(params, reporter, seed)
+
+            return run
+
+        monkeypatch.setattr(orchestrator, "build_objective", objective)
+        return ran
 
     def test_cut_anywhere_resumes_to_the_uninterrupted_bytes(self, tmp_path, stepwise):
         config = stepwise_config(tmp_path)
@@ -308,22 +261,45 @@ class TestResume:
         assert sorted(ends) == list(range(12))
         assert len(result.study.trials) == 12
 
-    def test_resume_parses_the_journal_once(self, tmp_path, stepwise, monkeypatch):
+    def test_resume_parses_and_replays_the_journal_once(self, tmp_path, stepwise, monkeypatch):
         config = stepwise_config(tmp_path)
         path = run_study(config).journal_path
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        calls = []
+        calls, replays = [], []
         real_parse = journal_mod._parse
+        real_rebuild = orchestrator.study_from_records
 
         def counted(data):
             calls.append(len(data))
             return real_parse(data)
 
+        def rebuild(records):
+            replays.append(len(records))
+            return real_rebuild(records)
+
         monkeypatch.setattr(journal_mod, "_parse", counted)
+        monkeypatch.setattr(orchestrator, "study_from_records", rebuild)
         run_study(config, resume=True)
         assert calls == [len(raw) // 2]
+        assert len(replays) == 1
         assert path.read_bytes() == raw
+
+    def test_a_resume_reruns_only_a_last_trial_left_open(self, tmp_path, ran):
+        """Cut after each record, a resume runs the trials from the open one,
+        or from the one after the last trial-end: a cut before a due
+        checkpoint writes it and reruns nothing."""
+        config = stepwise_config(tmp_path)
+        raw = run_study(config).journal_path.read_bytes()
+        records = [json.loads(line) for line in raw.splitlines()]
+        path = tmp_path / "cut.jsonl"
+        for record, end in zip(records[1:], line_ends(raw)[1:]):
+            path.write_bytes(raw[:end])
+            ran.clear()
+            run_study(config, journal_path=path, resume=True)
+            assert path.read_bytes() == raw, f"cut after seq {record['seq']}"
+            closed = record["kind"] in (KIND_TRIAL_END, KIND_CHECKPOINT)
+            assert ran == list(range(record["trial_id"] + closed, config.policy.n_trials))
 
     def test_surrogate_cut_at_record_boundaries(self, tmp_path):
         config = surrogate_config(tmp_path)
