@@ -6,18 +6,22 @@ instead of silently falling back to defaults. The keys of a section
 which both parsing and ``serialize_config`` walk, so a new field is a
 config key and enters ``config_hash`` with no edit here. parse_config is
 pure text in, config out; the seed env override is applied by the CLI layer.
+The config's other facts live here too: the run policy, the objective's
+direction and ``config_hash``, the config's identity.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError, ValidationError
 from .manifest import DEFAULT_RATIOS, TASK_CLASSES, check_ratios
-from .orchestrator import RunPolicy, direction_for_objective
 from .pruning import PrunerConfig
 from .samplers import TpeConfig, grid_enumerate
 from .study import (
@@ -25,6 +29,8 @@ from .study import (
     CHOICE,
     INT_CATEGORICAL,
     LOG_UNIFORM,
+    MAXIMIZE,
+    MINIMIZE,
     UNIFORM,
     Distribution,
     SearchSpace,
@@ -71,6 +77,45 @@ class SamplerSpec:
 
 
 @dataclass(frozen=True)
+class RunPolicy:
+    """Trial budget plus the save/stop thresholds. Once a completed value
+    meets save_threshold and improves on the prior best, a checkpoint
+    record is written; once a completed value meets stop_threshold, no
+    further trials start.
+
+    ``max_parallel`` accepts any value >= 1 and enters the config hash, but
+    trials always run one at a time.
+    """
+
+    n_trials: int = 20
+    max_parallel: int = 1
+    save_threshold: float | None = None
+    stop_threshold: float | None = None
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValidationError("n_trials must be >= 1")
+        if self.max_parallel < 1:
+            raise ValidationError("max_parallel must be >= 1")
+
+    def validate_for_direction(self, direction: str) -> None:
+        if self.save_threshold is None or self.stop_threshold is None:
+            return
+        if direction == MAXIMIZE and self.stop_threshold < self.save_threshold:
+            raise ValidationError("stop_threshold must be >= save_threshold")
+        if direction == MINIMIZE and self.stop_threshold > self.save_threshold:
+            raise ValidationError("stop_threshold must be <= save_threshold")
+
+
+def direction_for_objective(objective: str) -> str:
+    if objective == "surrogate":
+        return MAXIMIZE
+    if objective in BENCHMARKS:
+        return MINIMIZE
+    raise ValidationError(f"unknown objective {objective!r}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     objective: str
     space: SearchSpace
@@ -83,6 +128,9 @@ class ExperimentConfig:
     policy: RunPolicy = field(default_factory=RunPolicy)
     data: DataConfig | None = None
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
+
+    def __post_init__(self):
+        self.policy.validate_for_direction(self.direction)
 
     @property
     def direction(self) -> str:
@@ -315,24 +363,22 @@ def config_from_mapping(raw) -> ExperimentConfig:
 
     _reject_unknown(raw, "")
 
-    config = ExperimentConfig(
-        objective=objective,
-        space=space,
-        seed=seed,
-        task=task,
-        epochs=epochs,
-        output_dir=output_dir,
-        sampler=sampler,
-        pruner=pruner,
-        policy=policy,
-        data=data,
-        synthetic=synthetic,
-    )
     try:
-        policy.validate_for_direction(config.direction)
-    except Exception as exc:
+        return ExperimentConfig(
+            objective=objective,
+            space=space,
+            seed=seed,
+            task=task,
+            epochs=epochs,
+            output_dir=output_dir,
+            sampler=sampler,
+            pruner=pruner,
+            policy=policy,
+            data=data,
+            synthetic=synthetic,
+        )
+    except ValidationError as exc:  # the policy's thresholds against the direction
         raise ConfigError(str(exc), path="policy") from exc
-    return config
 
 
 def serialize_config(config: ExperimentConfig) -> dict:
@@ -353,6 +399,15 @@ def serialize_config(config: ExperimentConfig) -> dict:
     if config.data is not None:
         out["data"] = asdict(config.data) | {"ratios": list(config.data.ratios)}
     return out
+
+
+def config_hash(config: ExperimentConfig) -> str:
+    """sha256 of the canonical config, where the manifest counts by the
+    sha256 of its bytes rather than by the spelling of its path."""
+    doc = serialize_config(config)
+    if config.data is not None:
+        doc["data"]["manifest"] = hashlib.sha256(Path(config.data.manifest).read_bytes()).hexdigest()
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def dump_config(config: ExperimentConfig) -> str:

@@ -19,6 +19,7 @@ import json.scanner
 import os
 from pathlib import Path
 
+from .config import parse_space
 from .errors import JournalCorruptError, JournalError, StateError
 from .study import Study, TrialRecord, TrialState
 
@@ -175,8 +176,6 @@ def study_from_records(records: list[dict]) -> Study:
     refuses, a space or params the config or `Study.ask` would refuse)
     raises JournalCorruptError naming it; the study-meta record is seq 0.
     """
-    from .config import parse_space  # config imports this module via orchestrator
-
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
     record = records[0]

@@ -2,10 +2,8 @@
 
 Trials run one at a time in one loop that owns the study and the journal,
 so each ask sees every earlier trial's outcome and every run of a config
-writes the same journal bytes. Threshold policy: once a completed value
-meets save_threshold and improves on the prior best, a checkpoint record
-is written; once a completed value meets stop_threshold, no further
-trials start.
+writes the same journal bytes. The loop applies the config's ``RunPolicy``:
+its trial budget, and its save and stop thresholds.
 
 A resumed run replays the journal once, reruns a last trial left in
 flight or writes its missing due checkpoint, and goes on; per-trial RNG
@@ -15,31 +13,27 @@ and resumed writes the same bytes as one that is not.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from . import journal as journal_mod
 from .augment import read_pgm, resize_to
+from .config import ExperimentConfig, RunPolicy, config_hash  # noqa: F401 (RunPolicy is re-exported)
 from .errors import (
     DivergenceError,
     ExhaustedSearchError,
     JournalCorruptError,
     JournalError,
     TrialPruned,
-    ValidationError,
 )
 from .journal import Journal, read_journal, study_from_records
 from .manifest import TASK_CLASSES, load_manifest, select_cohort, task_label
 from .pruning import should_prune
 from .samplers import make_sampler
 from .study import (
-    MAXIMIZE,
-    MINIMIZE,
     Study,
     TrialRecord,
     TrialState,
@@ -48,52 +42,12 @@ from .study import (
     meets_threshold,
 )
 from .surrogate import (
-    BENCHMARKS,
     SplitArrays,
     benchmark_objective,
     make_synthetic_dataset,
     split_arrays,
     train_and_evaluate,
 )
-
-if TYPE_CHECKING:
-    from .config import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """Trial budget plus the save/stop thresholds.
-
-    ``max_parallel`` accepts any value >= 1 and enters the config hash, but
-    trials always run one at a time.
-    """
-
-    n_trials: int = 20
-    max_parallel: int = 1
-    save_threshold: float | None = None
-    stop_threshold: float | None = None
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValidationError("n_trials must be >= 1")
-        if self.max_parallel < 1:
-            raise ValidationError("max_parallel must be >= 1")
-
-    def validate_for_direction(self, direction: str) -> None:
-        if self.save_threshold is None or self.stop_threshold is None:
-            return
-        if direction == MAXIMIZE and self.stop_threshold < self.save_threshold:
-            raise ValidationError("stop_threshold must be >= save_threshold")
-        if direction == MINIMIZE and self.stop_threshold > self.save_threshold:
-            raise ValidationError("stop_threshold must be <= save_threshold")
-
-
-def direction_for_objective(objective: str) -> str:
-    if objective == "surrogate":
-        return MAXIMIZE
-    if objective in BENCHMARKS:
-        return MINIMIZE
-    raise ValidationError(f"unknown objective {objective!r}")
 
 
 @dataclass
@@ -107,7 +61,7 @@ class StudyResult:
 Objective = Callable[[dict, Callable[[int, float], None], list], tuple[float, dict | None]]
 
 
-def load_manifest_arrays(config: "ExperimentConfig") -> SplitArrays:
+def load_manifest_arrays(config: ExperimentConfig) -> SplitArrays:
     """Build train/val/test rasters from a manifest of PGM files."""
     data_cfg = config.data
     manifest_path = Path(data_cfg.manifest)
@@ -129,14 +83,14 @@ def load_manifest_arrays(config: "ExperimentConfig") -> SplitArrays:
     return SplitArrays(train_x, train_y, val_x, val_y, test_x, test_y, side, len(classes))
 
 
-def build_surrogate_data(config: "ExperimentConfig") -> SplitArrays:
+def build_surrogate_data(config: ExperimentConfig) -> SplitArrays:
     if config.data is not None:
         return load_manifest_arrays(config)
     images, labels = make_synthetic_dataset(config.synthetic, len(TASK_CLASSES[config.task]))
     return split_arrays(images, labels, seed=config.synthetic.seed)
 
 
-def build_objective(config: "ExperimentConfig") -> Objective:
+def build_objective(config: ExperimentConfig) -> Objective:
     if config.objective == "surrogate":
         data = build_surrogate_data(config)
 
@@ -161,17 +115,6 @@ def build_objective(config: "ExperimentConfig") -> Objective:
     return objective
 
 
-def config_hash(config: "ExperimentConfig") -> str:
-    """sha256 of the canonical config, where the manifest counts by the
-    sha256 of its bytes rather than by the spelling of its path."""
-    from .config import serialize_config
-
-    doc = serialize_config(config)
-    if config.data is not None:
-        doc["data"]["manifest"] = hashlib.sha256(Path(config.data.manifest).read_bytes()).hexdigest()
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 def next_best(
     direction: str, value: float, best: float | None, save_threshold: float | None
 ) -> tuple[float | None, bool]:
@@ -183,7 +126,7 @@ def next_best(
     return value, save_threshold is not None and meets_threshold(direction, value, save_threshold)
 
 
-def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bool):
+def _open_journal(path: Path, meta: dict, config: ExperimentConfig, resume: bool):
     """A fresh journal, or with ``resume`` the existing one and the study it
     replays to, which refuses a bad record before anything is cut. An open
     last trial is cut back to its trial-start and left out of the study; a
@@ -218,7 +161,7 @@ def _open_journal(path: Path, meta: dict, config: "ExperimentConfig", resume: bo
     return journal, study
 
 
-def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = False) -> StudyResult:
+def run_study(config: ExperimentConfig, journal_path=None, resume: bool = False) -> StudyResult:
     """Execute the configured study end to end, journaling every event.
 
     With ``resume`` an existing journal written by the same config is
@@ -227,7 +170,6 @@ def run_study(config: "ExperimentConfig", journal_path=None, resume: bool = Fals
     """
     direction = config.direction
     policy = config.policy
-    policy.validate_for_direction(direction)
     sampler = make_sampler(
         config.sampler.kind,
         tpe_config=config.sampler.tpe,

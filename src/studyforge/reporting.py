@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .journal import read_records, study_from_records
-from .study import MAXIMIZE, Study, TrialState
+from .study import MAXIMIZE, Study, TrialState, is_improvement
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
@@ -83,15 +83,9 @@ def best_so_far(study: Study) -> tuple[list[int], list[float]]:
     """Completed trials in study order with the running best value."""
     ids, values = [], []
     best = None
-    for t in study.trials:
-        if t.state is not TrialState.COMPLETE:
-            continue
-        if best is None:
+    for t in study.completed_trials():
+        if is_improvement(study.direction, t.final_value, best):
             best = t.final_value
-        elif study.direction == MAXIMIZE:
-            best = max(best, t.final_value)
-        else:
-            best = min(best, t.final_value)
         ids.append(t.trial_id)
         values.append(best)
     return ids, values

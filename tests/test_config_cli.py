@@ -15,6 +15,7 @@ from studyforge.cli import main
 from studyforge.config import (
     apply_overrides,
     config_from_mapping,
+    config_hash,
     dump_config,
     parse_config,
     serialize_config,
@@ -22,7 +23,6 @@ from studyforge.config import (
 from studyforge.errors import ConfigError
 from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
-from studyforge.orchestrator import config_hash
 from studyforge.samplers import grid_enumerate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -214,13 +214,20 @@ class TestParseConfig:
                 "space:\n  x: {kind: gaussian, low: 0, high: 1}\n"
             )
 
-    def test_threshold_order_checked_against_direction(self):
-        with pytest.raises(ConfigError, match="policy"):
-            parse_config(
-                "objective: surrogate\n"
-                "space:\n  lr: {kind: log-uniform-float, low: 1.0e-4, high: 1.0e-3}\n"
-                "policy: {save_threshold: 0.99, stop_threshold: 0.9}\n"
-            )
+    @pytest.mark.parametrize(
+        "objective, space, thresholds, order",
+        [
+            ("surrogate", "lr: {kind: log-uniform-float, low: 1.0e-4, high: 1.0e-3}",
+             "{save_threshold: 0.99, stop_threshold: 0.9}", ">="),
+            ("quadratic-1d", "x: {kind: uniform-float, low: 0, high: 1}",
+             "{save_threshold: 0.01, stop_threshold: 0.1}", "<="),
+        ],
+    )
+    def test_threshold_order_checked_against_direction(self, objective, space, thresholds, order):
+        text = f"objective: {objective}\nspace:\n  {space}\npolicy: {thresholds}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == f"policy: stop_threshold must be {order} save_threshold"
 
     def test_data_ratios_validated(self):
         base = (

@@ -9,20 +9,17 @@ from studyforge import orchestrator
 from studyforge.augment import write_pgm
 from studyforge.config import (
     ExperimentConfig,
+    RunPolicy,
     SamplerSpec,
+    config_hash,
+    direction_for_objective,
     dump_config,
     parse_config,
 )
 from studyforge.errors import ValidationError
 from studyforge.journal import read_records, resume_study
 from studyforge.manifest import LABELS, MANIFEST_HEADER
-from studyforge.orchestrator import (
-    RunPolicy,
-    build_surrogate_data,
-    config_hash,
-    direction_for_objective,
-    run_study,
-)
+from studyforge.orchestrator import build_surrogate_data, run_study
 from studyforge.pruning import PrunerConfig
 from studyforge.study import SearchSpace, TrialState, log_uniform, uniform
 from studyforge.surrogate import SyntheticSpec, class_template
@@ -78,6 +75,14 @@ class TestRunPolicy:
         RunPolicy().validate_for_direction("maximize")
         RunPolicy(save_threshold=0.5).validate_for_direction("minimize")
         RunPolicy(stop_threshold=0.5).validate_for_direction("maximize")
+
+    def test_contradictory_thresholds_are_refused_when_the_config_is_built(self, tmp_path):
+        # maximizing wants stop >= save, minimizing stop <= save
+        with pytest.raises(ValidationError, match="^stop_threshold must be >= save_threshold$"):
+            surrogate_config(tmp_path, policy=RunPolicy(save_threshold=0.99, stop_threshold=0.9))
+        with pytest.raises(ValidationError, match="^stop_threshold must be <= save_threshold$"):
+            quadratic_config(tmp_path, policy=RunPolicy(save_threshold=0.01, stop_threshold=0.1))
+        quadratic_config(tmp_path, policy=RunPolicy(save_threshold=0.99, stop_threshold=0.9))
 
 
 class TestDirectionForObjective:

@@ -9,7 +9,7 @@ import pytest
 
 from studyforge import journal as journal_mod
 from studyforge import orchestrator
-from studyforge.config import ExperimentConfig, SamplerSpec
+from studyforge.config import ExperimentConfig, RunPolicy, SamplerSpec
 from studyforge.errors import DivergenceError, JournalError
 from studyforge.journal import (
     KIND_CHECKPOINT,
@@ -20,7 +20,7 @@ from studyforge.journal import (
     Journal,
     read_records,
 )
-from studyforge.orchestrator import RunPolicy, run_study
+from studyforge.orchestrator import run_study
 from studyforge.pruning import PrunerConfig
 from studyforge.samplers import TpeConfig
 from studyforge.study import SearchSpace, log_uniform, uniform
