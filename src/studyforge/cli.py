@@ -23,8 +23,7 @@ from .reporting import write_atomic, write_reports
 SEED_ENV = "STUDYFORGE_SEED"
 
 
-def _best_payload(study) -> dict:
-    best = study.best_trial()
+def _best_payload(best) -> dict:
     return {"params": best.params, "value": best.final_value}
 
 
@@ -42,7 +41,7 @@ def cmd_run(config_path: str, overrides: list[str], resume: bool = False) -> int
     out_dir = Path(config.output_dir)
 
     if result.best is not None:
-        payload = _best_payload(result.study)
+        payload = _best_payload(result.best)
     else:
         payload = {"params": None, "value": None}
     best_path = out_dir / "best.json"
@@ -57,7 +56,7 @@ def cmd_run(config_path: str, overrides: list[str], resume: bool = False) -> int
 def cmd_report(journal_path: str, fmt: str, out_dir: str | None) -> int:
     target = Path(out_dir) if out_dir else Path(journal_path).parent
     study = study_from_records(read_records(journal_path))
-    if not study.completed_trials():
+    if study.best is None:
         print("warning: journal has no completed trials", file=sys.stderr)
     written = write_reports(journal_path, target, fmt=fmt, study=study)
     for path in written:
@@ -66,12 +65,11 @@ def cmd_report(journal_path: str, fmt: str, out_dir: str | None) -> int:
 
 
 def cmd_best(journal_path: str) -> int:
-    records = read_records(journal_path)
-    study = study_from_records(records)
-    if not study.completed_trials():
+    study = study_from_records(read_records(journal_path))
+    if study.best is None:
         print("error: journal has no completed trials", file=sys.stderr)
         return 1
-    print(json.dumps(_best_payload(study), sort_keys=True))
+    print(json.dumps(_best_payload(study.best), sort_keys=True))
     return 0
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import parse_space
 from .errors import JournalCorruptError, JournalError, StateError
-from .study import Study, TrialRecord, TrialState
+from .study import Study, TrialRecord, TrialState, meets_threshold
 
 KIND_META = "study-meta"
 KIND_TRIAL_START = "trial-start"
@@ -165,16 +165,19 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
     return records, ends
 
 
-def study_from_records(records: list[dict]) -> Study:
+def study_from_records(records: list[dict], save_threshold: float | None = None) -> Study:
     """Rebuild the study state; a trial left mid-flight becomes failed.
 
     The study-meta's space is parsed as the config parses its ``space``.
     A record off the grammar (a trial-start while a trial is open, a
     checkpoint that is not what `run_study` writes right after its trial's
-    complete trial-end) or whose fields do not fit what replay reads from
-    it (a missing field, a field of the wrong type, a value the study
-    refuses, a space or params the config or `Study.ask` would refuse)
-    raises JournalCorruptError naming it; the study-meta record is seq 0.
+    complete trial-end, or whose trial is not then the study's best) or
+    whose fields do not fit what replay reads from it (a missing field, a
+    field of the wrong type, a value the study refuses, a space or params
+    the config or `Study.ask` would refuse) raises JournalCorruptError
+    naming it; the study-meta record is seq 0. Given the config's
+    ``save_threshold``, as `run --resume` gives it, each checkpoint must be
+    due, and each due one present unless its trial-end is the last record.
     """
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
@@ -212,6 +215,9 @@ def study_from_records(records: list[dict]) -> Study:
                 if state is TrialState.COMPLETE:
                     trial = study.tell(record["trial_id"], record["final_value"])
                     trial.metrics = _metrics(record.get("metrics"))
+                    due = checkpoint_due(study, trial, save_threshold)
+                    if due and i + 1 < len(records) and records[i + 1]["kind"] != KIND_CHECKPOINT:
+                        raise ValueError(f"trial {trial.trial_id}'s due checkpoint is missing")
                 else:
                     study.tell(record["trial_id"], state=state)
             else:  # a checkpoint, of the trial whose trial-end is just before it
@@ -221,6 +227,10 @@ def study_from_records(records: list[dict]) -> Study:
                 written = {"seq": record["seq"], "kind": kind, **checkpoint_payload(trial)}
                 if (key := differing_key(record, written)) is not None:
                     raise ValueError(f"{key} is not trial {trial.trial_id}'s")
+                if trial is not study.best:
+                    raise ValueError(f"trial {trial.trial_id} does not improve on the best")
+                if save_threshold is not None and not checkpoint_due(study, trial, save_threshold):
+                    raise ValueError(f"trial {trial.trial_id} does not meet the save threshold")
     # caught, not checked per record, so a clean replay pays nothing for it
     except KeyError as exc:
         raise JournalCorruptError(record["seq"], f"{record['kind']}: missing field {exc}") from None
@@ -229,6 +239,14 @@ def study_from_records(records: list[dict]) -> Study:
     if study.trials and study.trials[-1].state is TrialState.RUNNING:
         study.trials[-1].state = TrialState.FAILED
     return study
+
+
+def checkpoint_due(study: Study, trial: TrialRecord, save_threshold: float | None) -> bool:
+    """Whether a told trial earns a checkpoint: it is the study's best, so
+    it improves on every earlier one, and meets ``save_threshold``. The run
+    loop, a resume and replay all decide by this."""
+    direction = study.direction
+    return trial is study.best and meets_threshold(direction, trial.final_value, save_threshold)
 
 
 def checkpoint_payload(trial: TrialRecord) -> dict:

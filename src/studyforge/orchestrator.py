@@ -3,7 +3,9 @@
 Trials run one at a time in one loop that owns the study and the journal,
 so each ask sees every earlier trial's outcome and every run of a config
 writes the same journal bytes. The loop applies the config's ``RunPolicy``:
-its trial budget, and its save and stop thresholds.
+its trial budget, and its save and stop thresholds, which it reads against
+the best trial the study keeps. `journal.checkpoint_due` decides each
+checkpoint, for the loop, for a resume and for replay.
 
 A resumed run replays the journal once, reruns a last trial left in
 flight or writes its missing due checkpoint, and goes on; per-trial RNG
@@ -29,18 +31,11 @@ from .errors import (
     JournalError,
     TrialPruned,
 )
-from .journal import Journal, read_journal, study_from_records
+from .journal import Journal, checkpoint_due, read_journal, study_from_records
 from .manifest import TASK_CLASSES, load_manifest, select_cohort, task_label
 from .pruning import should_prune
 from .samplers import make_sampler
-from .study import (
-    Study,
-    TrialRecord,
-    TrialState,
-    create_study,
-    is_improvement,
-    meets_threshold,
-)
+from .study import Study, TrialRecord, TrialState, create_study, meets_threshold
 from .surrogate import (
     SplitArrays,
     benchmark_objective,
@@ -115,17 +110,6 @@ def build_objective(config: ExperimentConfig) -> Objective:
     return objective
 
 
-def next_best(
-    direction: str, value: float, best: float | None, save_threshold: float | None
-) -> tuple[float | None, bool]:
-    """The best value once a trial completes with ``value``, and whether
-    that trial earns a checkpoint: it improves on ``best`` and meets
-    ``save_threshold``. Both a run and a resume decide by this."""
-    if not is_improvement(direction, value, best):
-        return best, False
-    return value, save_threshold is not None and meets_threshold(direction, value, save_threshold)
-
-
 def _open_journal(path: Path, meta: dict, config: ExperimentConfig, resume: bool):
     """A fresh journal, or with ``resume`` the existing one and the study it
     replays to, which refuses a bad record before anything is cut. An open
@@ -142,7 +126,7 @@ def _open_journal(path: Path, meta: dict, config: ExperimentConfig, resume: bool
             f"{path} was written by another config (config_hash "
             f"{str(records[0].get('config_hash'))[:12]}, this config {meta['config_hash'][:12]})"
         )
-    study = study_from_records(records)
+    study = study_from_records(records, config.policy.save_threshold)
     # the study is rebuilt from study-meta: it must be what this config writes
     key = journal_mod.differing_key(records[0], {"seq": 0, "kind": journal_mod.KIND_META, **meta})
     if key is not None:
@@ -152,11 +136,9 @@ def _open_journal(path: Path, meta: dict, config: ExperimentConfig, resume: bool
         # the open trial's records: its trial-start and one per intermediate
         keep -= 1 + len(study.trials.pop().intermediates)
     journal = Journal(path, keep=keep, contents=contents)
-    if last == journal_mod.KIND_TRIAL_END and study.trials[-1].state is TrialState.COMPLETE:
-        best, save_threshold = None, config.policy.save_threshold
-        for trial in study.completed_trials():  # the last one is the journal's last trial
-            best, due = next_best(config.direction, trial.final_value, best, save_threshold)
-        if due:
+    if last == journal_mod.KIND_TRIAL_END:
+        trial = study.trials[-1]
+        if checkpoint_due(study, trial, config.policy.save_threshold):
             journal.append(journal_mod.KIND_CHECKPOINT, **journal_mod.checkpoint_payload(trial))
     return journal, study
 
@@ -187,14 +169,13 @@ def run_study(config: ExperimentConfig, journal_path=None, resume: bool = False)
     }
 
     journal, study = _open_journal(journal_path, meta, config, resume)
-    completed = [t.final_value for t in study.completed_trials()]
-    stop = policy.stop_threshold is not None and any(
-        meets_threshold(direction, v, policy.stop_threshold) for v in completed
-    )
-    best_value = study.best_trial().final_value if completed else None
 
     with journal:
-        while not stop and len(study.trials) < policy.n_trials:
+        # the best meets stop_threshold exactly when some complete trial does
+        while len(study.trials) < policy.n_trials and not (
+            study.best is not None
+            and meets_threshold(direction, study.best.final_value, policy.stop_threshold)
+        ):
             try:
                 trial = study.ask(sampler)
             except ExhaustedSearchError:
@@ -227,16 +208,7 @@ def run_study(config: ExperimentConfig, journal_path=None, resume: bool = False)
                 if metrics is not None:
                     end["metrics"] = metrics
             journal.append(journal_mod.KIND_TRIAL_END, trial_id=trial_id, **end)
-            if trial.state is not TrialState.COMPLETE:
-                continue
-            best_value, due = next_best(direction, value, best_value, policy.save_threshold)
-            if due:
+            if checkpoint_due(study, trial, policy.save_threshold):
                 journal.append(journal_mod.KIND_CHECKPOINT, **journal_mod.checkpoint_payload(trial))
-            stop = policy.stop_threshold is not None and meets_threshold(
-                direction, value, policy.stop_threshold
-            )
 
-    best = None
-    if study.completed_trials():
-        best = study.best_trial()
-    return StudyResult(study=study, best=best, journal_path=journal_path)
+    return StudyResult(study=study, best=study.best, journal_path=journal_path)

@@ -196,7 +196,7 @@ def write_reports(journal_path, out_dir, fmt: str = "csv", *, study=None) -> lis
         if dist.is_discrete:
             emit(f"summary_{name}.{fmt}", render(*choice_summary(study, name)))
     emit("history.svg", render_history_svg(study))
-    metrics = study.best_trial().metrics if study.completed_trials() else None
+    metrics = study.best.metrics if study.best is not None else None
     if metrics is not None:
         emit("confusion.csv", render_confusion_csv(metrics["confusion"]))
         emit("f1.csv", render_f1_csv(metrics["f1"], metrics["macro_f1"]))

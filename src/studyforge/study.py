@@ -3,8 +3,10 @@
 A study owns an ordered list of trials over a fixed search space and
 optimization direction. Samplers propose parameter assignments (ask),
 objectives report intermediate values, and outcomes are recorded exactly
-once (tell). All randomness is derived from the study seed and the trial
-id, so replaying the same call sequence reproduces the study bit for bit.
+once (tell). A tell keeps what later calls read current: the history
+TPE learns from, the median pruner's peers and the best trial. All
+randomness is derived from the study seed and the trial id, so replaying
+the same call sequence reproduces the study bit for bit.
 """
 
 from __future__ import annotations
@@ -258,6 +260,8 @@ class Study:
         self.observations = Observations(space)
         # step -> values complete trials reported there: the median pruner's peers
         self.peers: dict[int, list[float]] = {}
+        # the best complete trial per direction, ties to the lowest id
+        self.best: TrialRecord | None = None
 
     # rng streams: (seed, trial_id, lane) so sampling and objective draws
     # never share a stream and replay is exact regardless of interleaving.
@@ -300,10 +304,15 @@ class Study:
             ):
                 raise ValidationError(f"final value must be finite, got {value!r}")
             trial.state = TrialState.COMPLETE
-            trial.final_value = float(value)
-            self.observations.add(trial, trial.final_value, complete=True)
+            trial.final_value = value = float(value)
+            self.observations.add(trial, value, complete=True)
             for step, v in trial.intermediates:
                 self.peers.setdefault(step, []).append(v)
+            # rank by (value, trial_id), so the best is the same in any tell order
+            sign = -1.0 if self.direction == MAXIMIZE else 1.0
+            best = self.best
+            if best is None or (sign * value, trial_id) < (sign * best.final_value, best.trial_id):
+                self.best = trial
         elif state in (TrialState.PRUNED, TrialState.FAILED):
             trial.state = state
             if state is TrialState.PRUNED and trial.intermediates:
@@ -328,13 +337,10 @@ class Study:
         return [t for t in self.trials if t.state is TrialState.COMPLETE]
 
     def best_trial(self) -> TrialRecord:
-        """Extremal complete trial per direction; ties go to the lowest id."""
-        completed = self.completed_trials()
-        if not completed:
+        """The best complete trial, which `tell` keeps as ``best``."""
+        if self.best is None:
             raise StateError("study has no complete trials")
-        if self.direction == MAXIMIZE:
-            return max(completed, key=lambda t: (t.final_value, -t.trial_id))
-        return min(completed, key=lambda t: (t.final_value, t.trial_id))
+        return self.best
 
 
 def create_study(space: SearchSpace, direction: str, seed: int) -> Study:
@@ -348,5 +354,8 @@ def is_improvement(direction: str, new: float, old: float | None) -> bool:
     return new > old if direction == MAXIMIZE else new < old
 
 
-def meets_threshold(direction: str, value: float, threshold: float) -> bool:
+def meets_threshold(direction: str, value: float, threshold: float | None) -> bool:
+    """Whether ``value`` is at or past ``threshold``; no threshold is never met."""
+    if threshold is None:
+        return False
     return value >= threshold if direction == MAXIMIZE else value <= threshold

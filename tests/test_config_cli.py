@@ -415,6 +415,30 @@ class TestApplyOverrides:
         assert config.policy.n_trials == 2
 
 
+def misplace_a_checkpoint(records, case):
+    """Edit the records of a `pruned_surrogate.yaml` run, whose checkpoints
+    need 0.9, by ``case``; the seq (once renumbered) and message `run
+    --resume` must refuse them with."""
+    first = next(r for r in records if r["kind"] == "checkpoint")
+    if case == "due checkpoint missing":
+        records.remove(first)
+        trial_id = first["trial_id"]
+        return first["seq"] - 1, f"trial-end: trial {trial_id}'s due checkpoint is missing"
+    ends = [r for r in records if r["kind"] == "trial-end" and r["state"] == "complete"]
+    if case == "undue checkpoint":  # trial 0 is the best so far, but below 0.9
+        end, reason = ends[0], "does not meet the save threshold"
+        assert end["trial_id"] == 0 and end["final_value"] < 0.9
+    else:  # no trial after the first checkpoint's can beat its 1.0
+        end = next(r for r in ends if r["seq"] > first["seq"])
+        reason = "does not improve on the best"
+        assert first["value"] == 1.0
+    trial_id = end["trial_id"]
+    start = next(r for r in records if r["kind"] == "trial-start" and r["trial_id"] == trial_id)
+    checkpoint = {"trial_id": trial_id, "value": end["final_value"], "best_params": start["params"]}
+    records.insert(end["seq"] + 1, {"kind": "checkpoint", **checkpoint})
+    return end["seq"] + 1, f"checkpoint: trial {trial_id} {reason}"
+
+
 class TestCliRun:
     def test_run_writes_journal_best_and_reports(self, tmp_path, capsys):
         config_path, out = write_quadratic_config(tmp_path)
@@ -543,6 +567,27 @@ class TestCliRun:
         assert captured.err.startswith(f"error: record seq={seq}: ")
         assert captured.err.count("\n") == 1
         assert journal.read_bytes() == edited
+
+    @pytest.mark.parametrize("case", ["due checkpoint missing", "undue checkpoint", "no gain"])
+    def test_resume_refuses_a_checkpoint_out_of_place_and_keeps_its_journal(
+        self, tmp_path, capsys, case
+    ):
+        argv = ["run", str(CONFIG_DIR / "pruned_surrogate.yaml"), "--set", f"output_dir={tmp_path}"]
+        assert main(argv) == 0
+        journal = tmp_path / "journal.jsonl"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        seq, message = misplace_a_checkpoint(records, case)
+        renumbered = [json.dumps({**r, "seq": i}) + "\n" for i, r in enumerate(records)]
+        journal.write_text("".join(renumbered))
+        edited = journal.read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: record seq={seq}: {message}\n"
+        assert journal.read_bytes() == edited
+        # best knows no save_threshold: it refuses only a checkpoint with no gain
+        assert main(["best", str(journal)]) == (1 if case == "no gain" else 0)
 
     @pytest.mark.parametrize(
         "config, edit, key",

@@ -306,11 +306,14 @@ class TestStudyReconstruction:
 
 
 def journal_with(path, start_params=None, end_state="complete"):
-    """A demo journal of two checkpointed trials. Trial 0's trial-start
-    (seq 1) carries ``start_params``, its trial-end (seq 2) ``end_state``,
-    and its checkpoint is seq 3; trial 1 is seqs 4-6."""
+    """A demo journal, minimized, of two checkpointed trials and two more.
+    Trial 0's trial-start (seq 1) carries ``start_params``, its trial-end
+    (seq 2) ``end_state``, and its checkpoint is seq 3; trial 1 is seqs 4-6.
+    Trial 2 (seqs 7-8) completes no better and earns no checkpoint, and
+    trial 3 starts at seq 9 with trial 2's params and is left open."""
     params = {"x": 0.5, "batch_size": 8, "hflip": False}
     better = {"x": 0.25, "batch_size": 16, "hflip": True}
+    worse = {"x": 0.75, "batch_size": 8, "hflip": True}
     with Journal(path, meta=meta_for(demo_space())) as journal:
         journal.append(KIND_TRIAL_START, trial_id=0, params=start_params or params)
         journal.append(KIND_TRIAL_END, trial_id=0, state=end_state, final_value=0.5)
@@ -318,6 +321,9 @@ def journal_with(path, start_params=None, end_state="complete"):
         journal.append(KIND_TRIAL_START, trial_id=1, params=better)
         journal.append(KIND_TRIAL_END, trial_id=1, state="complete", final_value=0.25)
         journal.append(KIND_CHECKPOINT, trial_id=1, value=0.25, best_params=better)
+        journal.append(KIND_TRIAL_START, trial_id=2, params=worse)
+        journal.append(KIND_TRIAL_END, trial_id=2, state="complete", final_value=0.75)
+        journal.append(KIND_TRIAL_START, trial_id=3, params=worse)
     return path
 
 
@@ -456,6 +462,14 @@ HAND_EDITS = {
     "null checkpoint trial_id": (3, lambda r: r.update(trial_id=None), "checkpoint: trial_id is"),
     "list checkpoint trial_id": (3, lambda r: r.update(trial_id=[0]), "checkpoint: trial_id is"),
     "string checkpoint trial_id": (3, lambda r: r.update(trial_id="0"), "checkpoint: trial_id is"),
+    # a checkpoint exactly as its trial would write it, but the trial is no best
+    "checkpoint of a trial that does not improve": (
+        9,
+        lambda r: r.update(
+            kind=KIND_CHECKPOINT, trial_id=2, value=0.75, best_params=r.pop("params")
+        ),
+        "checkpoint: trial 2 does not improve on the best",
+    ),
 }
 
 
@@ -542,7 +556,9 @@ class TestFaultInjectionSweep:
         No sweep value is a float in [0, 1], so every edit of a trial-start's
         params leaves the space and must be refused, as must a boolean seed,
         a space spec key that is deleted or set to anything but a number,
-        and any edit of a checkpoint: it must be what its trial earned."""
+        and any edit of a checkpoint: it must be what its trial earned. So
+        must a later checkpoint once an earlier trial-end's final_value is -1,
+        as its trial is then not the best."""
         run_dir = tmp_path / "run"
         config = str(CONFIG_DIR / "quadratic.yaml")
         overrides = ["--set", "policy.n_trials=6", "--set", f"output_dir={run_dir}"]
@@ -556,7 +572,7 @@ class TestFaultInjectionSweep:
         path = tmp_path / "edited.jsonl"
         commands = (["best", str(path)], ["report", str(path), "--out", str(tmp_path / "out")])
         capsys.readouterr()
-        must_refuse, wrong = 0, []
+        must_refuse, must_refuse_later, wrong = 0, 0, []
         for seq, field, value in sweep_edits(records):
             edited = list(lines)
             edited[seq] = json.dumps(edit_field(records[seq], field, value))
@@ -569,7 +585,17 @@ class TestFaultInjectionSweep:
                 or (field == ("seed",) and type(value) is bool)
                 or (len(field) == 3 and field[0] == "space" and not_a_number)
             )
+            # quadratic values are >= 0, so at -1 a trial takes the best from a
+            # later checkpoint's trial (its own checkpoint fails on its value)
+            steals_best = (
+                records[seq]["kind"] == KIND_TRIAL_END
+                and field == ("final_value",)
+                and value == -1
+                and seq < checkpoints[-1]
+                and seq + 1 not in checkpoints
+            )
             must_refuse += refuse
+            must_refuse_later += steals_best
             for command in commands:
                 status = main(command)
                 err = capsys.readouterr().err
@@ -578,6 +604,8 @@ class TestFaultInjectionSweep:
                 )
                 if refuse:
                     ok = ok and status == 1 and err.startswith(f"error: record seq={seq}: ")
+                if steals_best:
+                    ok = ok and status == 1 and "does not improve on the best" in err
                 if not ok:
                     wrong.append((command[0], seq, field, value, status, err))
         # 6 trials x (params and params.x) x 11 edits, the two boolean seeds,
@@ -585,6 +613,9 @@ class TestFaultInjectionSweep:
         # 2 checkpoints x (seq, kind, trial_id, value, best_params and
         # best_params.x) x 11 edits
         assert must_refuse == 6 * 2 * 11 + 2 + 3 * 8 + 2 * 6 * 11
+        # trial 1's final_value: trial 0's checkpoint comes before it, and
+        # trial 2's after it
+        assert must_refuse_later == 1
         assert wrong == []
 
 

@@ -1,6 +1,7 @@
-"""The TPE history that `Study.tell` keeps: whatever order trials are told
-in, and also when a journal rebuilds the study, `trial_observations` must
-equal a scan of the trials in trial order."""
+"""The TPE history and the best trial that `Study.tell` keeps: whatever
+order trials are told in, and also when a journal rebuilds the study,
+`trial_observations` and `Study.best` must equal a scan of the trials in
+trial order."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,51 @@ def test_a_study_rebuilt_from_records_matches_the_scan(case):
         tell(twin, i, outcome, value)
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
     assert tpe_suggest(study, rng=rng_a) == tpe_suggest(twin, rng=rng_b)
+
+
+# final values that tie, zero among them both as 0.0 and as -0.0
+TIED_VALUES = (-1.0, -0.0, 0.0, 0.5)
+
+
+@st.composite
+def told_trials_with_ties(draw):
+    """`told_trials`, each final value kept or swapped for one of TIED_VALUES."""
+    trials, order, direction = draw(told_trials())
+    trials = [
+        (params, outcome, steps, draw(st.sampled_from((value, *TIED_VALUES))))
+        for params, outcome, steps, value in trials
+    ]
+    return trials, order, direction
+
+
+def scan_best(study):
+    """Reference: the complete trial first by value in the direction, then
+    by lowest id; None without one."""
+    complete = [t for t in study.trials if t.state is TrialState.COMPLETE]
+    if not complete:
+        return None
+    if study.direction == MAXIMIZE:
+        return max(complete, key=lambda t: (t.final_value, -t.trial_id))
+    return min(complete, key=lambda t: (t.final_value, t.trial_id))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=told_trials_with_ties())
+def test_the_best_trial_after_every_tell_matches_the_scan(case):
+    trials, order, direction = case
+    study = make_study(SPACE, direction=direction, seed=1)
+    for params, _, steps, _ in trials:
+        running_trial(study, params, intermediates=steps)
+    assert study.best is None
+    for i in order:
+        _, outcome, _, value = trials[i]
+        tell(study, i, outcome, value)
+        assert study.best is scan_best(study)
+
+    rebuilt = study_from_records(journal_records(trials, direction))
+    assert rebuilt.best is scan_best(rebuilt)
+    ids = [None if s.best is None else s.best.trial_id for s in (study, rebuilt)]
+    assert ids[0] == ids[1]
 
 
 def test_history_grows_past_its_first_capacity():

@@ -274,9 +274,9 @@ class TestResume:
             calls.append(len(data))
             return real_parse(data)
 
-        def rebuild(records):
+        def rebuild(records, save_threshold=None):
             replays.append(len(records))
-            return real_rebuild(records)
+            return real_rebuild(records, save_threshold)
 
         monkeypatch.setattr(journal_mod, "_parse", counted)
         monkeypatch.setattr(orchestrator, "study_from_records", rebuild)
