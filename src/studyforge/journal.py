@@ -35,6 +35,9 @@ _FSYNCED_KINDS = frozenset((KIND_META, KIND_TRIAL_END, KIND_CHECKPOINT))
 _STATES = {state.value: state for state in TrialState}
 # one JSON value from a given index, decoded as json.loads decodes it
 _scan = json.scanner.make_scanner(json.JSONDecoder())
+# study_from_records' default save_threshold: the journal does not hold it,
+# so `best` and `report` do not know it; None is a config without one
+THRESHOLD_UNKNOWN = object()
 
 
 class Journal:
@@ -165,7 +168,9 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
     return records, ends
 
 
-def study_from_records(records: list[dict], save_threshold: float | None = None) -> Study:
+def study_from_records(
+    records: list[dict], save_threshold: float | None | object = THRESHOLD_UNKNOWN
+) -> Study:
     """Rebuild the study state; a trial left mid-flight becomes failed.
 
     The study-meta's space is parsed as the config parses its ``space``.
@@ -177,8 +182,10 @@ def study_from_records(records: list[dict], save_threshold: float | None = None)
     the config or `Study.ask` would refuse) raises JournalCorruptError
     naming it; the study-meta record is seq 0. Given the config's
     ``save_threshold``, as `run --resume` gives it, each checkpoint must be
-    due, and each due one present unless its trial-end is the last record.
+    due, and each due one present unless its trial-end is the last record;
+    a threshold of None makes every checkpoint undue.
     """
+    threshold_known = save_threshold is not THRESHOLD_UNKNOWN
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
     record = records[0]
@@ -215,7 +222,7 @@ def study_from_records(records: list[dict], save_threshold: float | None = None)
                 if state is TrialState.COMPLETE:
                     trial = study.tell(record["trial_id"], record["final_value"])
                     trial.metrics = _metrics(record.get("metrics"))
-                    due = checkpoint_due(study, trial, save_threshold)
+                    due = threshold_known and checkpoint_due(study, trial, save_threshold)
                     if due and i + 1 < len(records) and records[i + 1]["kind"] != KIND_CHECKPOINT:
                         raise ValueError(f"trial {trial.trial_id}'s due checkpoint is missing")
                 else:
@@ -229,7 +236,7 @@ def study_from_records(records: list[dict], save_threshold: float | None = None)
                     raise ValueError(f"{key} is not trial {trial.trial_id}'s")
                 if trial is not study.best:
                     raise ValueError(f"trial {trial.trial_id} does not improve on the best")
-                if save_threshold is not None and not checkpoint_due(study, trial, save_threshold):
+                if threshold_known and not checkpoint_due(study, trial, save_threshold):
                     raise ValueError(f"trial {trial.trial_id} does not meet the save threshold")
     # caught, not checked per record, so a clean replay pays nothing for it
     except KeyError as exc:

@@ -9,6 +9,7 @@ a mixture. Random search is also the fallback before enough trials exist.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ExhaustedSearchError, ValidationError
 from .study import (
     MAXIMIZE,
+    Distribution,
     Observations,
     SearchSpace,
     Study,
@@ -27,6 +29,9 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # |x| from which libm's math.erf(x) is exactly +-1.0 (it saturates at 5.92)
 _ERF_SATURATED = 6.0
+# points per continuous grid axis; with 16 cached axes of at most this
+# many floats, the axis cache holds at most ~51 MB
+MAX_RESOLUTION = 100_000
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,12 @@ def _choice(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
     return cdf.searchsorted(rng.random(size), side="right")
 
 
+def ask_rng(study: Study, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """``rng``, or else the stream a sampler that draws reads for the next
+    ask: the next trial's lane 0. A sampler that draws nothing builds none."""
+    return study.rng_for(len(study.trials), lane=0) if rng is None else rng
+
+
 def suggest_random(space: SearchSpace, rng: np.random.Generator) -> dict:
     """Independent draw per parameter: uniform, log-uniform, or choice."""
     params = {}
@@ -251,7 +262,7 @@ class GridCells(Sequence):
     ``size`` is the cell count as a plain int; ``len`` raises past
     ``sys.maxsize``."""
 
-    def __init__(self, names: list[str], axes: list[list]):
+    def __init__(self, names: list[str], axes: list[tuple]):
         self.names, self.axes = names, axes
         self.size = math.prod(len(axis) for axis in axes)
 
@@ -273,29 +284,35 @@ def grid_enumerate(space: SearchSpace, resolution: int) -> GridCells:
 
     Continuous axes get `resolution` evenly spaced points including both
     endpoints (log-evenly for log-uniform); discrete axes use all choices.
-    Builds each axis once, O(dims * resolution); no cell is built until
-    it is indexed.
+    A continuous axis is built once per (distribution, resolution) and
+    then shared from a bounded cache, so a call on axes built before costs
+    O(dims); no cell is built until it is indexed. A resolution above
+    MAX_RESOLUTION is refused before any axis is built.
     """
     if len(space) == 0:
         raise ValidationError("empty space")
+    if resolution > MAX_RESOLUTION:
+        raise ValidationError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     axes = []
     for name, dist in space.entries.items():
         if dist.is_discrete:
-            axes.append(list(dist.choices))
+            axes.append(dist.choices)
+        elif resolution < 2:
+            raise ValidationError(f"resolution must be >= 2 for continuous parameter {name!r}")
         else:
-            if resolution < 2:
-                raise ValidationError(
-                    f"resolution must be >= 2 for continuous parameter {name!r}"
-                )
-            if dist.is_log:
-                pts = np.exp(
-                    np.linspace(math.log(dist.low), math.log(dist.high), resolution)
-                )
-                pts = np.clip(pts, dist.low, dist.high)
-            else:
-                pts = np.linspace(dist.low, dist.high, resolution)
-            axes.append([float(p) for p in pts])
+            # -0.0 == 0.0 as a key, but the axis ends on high's own sign
+            axes.append(_continuous_axis(dist, resolution, math.copysign(1.0, dist.high)))
     return GridCells(space.names, axes)
+
+
+@functools.lru_cache(maxsize=16)
+def _continuous_axis(dist: Distribution, resolution: int, high_sign: float) -> tuple:
+    if dist.is_log:
+        pts = np.exp(np.linspace(math.log(dist.low), math.log(dist.high), resolution))
+        pts = np.clip(pts, dist.low, dist.high)
+    else:
+        pts = np.linspace(dist.low, dist.high, resolution)
+    return tuple(pts.tolist())
 
 
 def trial_observations(study: Study) -> Observations:
@@ -336,8 +353,7 @@ def tpe_suggest(
     rng: np.random.Generator | None = None,
 ) -> dict:
     """Propose one assignment; random until enough complete trials exist."""
-    if rng is None:
-        rng = study.rng_for(len(study.trials), lane=0)
+    rng = ask_rng(study, rng)
     history = trial_observations(study)
     if history.n_complete < cfg.n_startup_trials:
         return suggest_random(study.space, rng)
@@ -379,18 +395,19 @@ def tpe_suggest(
 class RandomSampler:
     """Independent uniform draws; the paper-style baseline."""
 
-    def suggest(self, study: Study, rng: np.random.Generator) -> dict:
-        return suggest_random(study.space, rng)
+    def suggest(self, study: Study, rng: np.random.Generator | None = None) -> dict:
+        return suggest_random(study.space, ask_rng(study, rng))
 
 
 class GridSampler:
     """Walks the grid in enumeration order; raises once exhausted. An ask
-    decodes one cell, O(dims * resolution), and builds no product."""
+    takes the cached axes and decodes one cell, O(dims); it builds no
+    product and no generator, and ignores ``rng``."""
 
     def __init__(self, resolution: int = 5):
         self.resolution = resolution
 
-    def suggest(self, study: Study, rng: np.random.Generator) -> dict:
+    def suggest(self, study: Study, rng: np.random.Generator | None = None) -> dict:
         cells = grid_enumerate(study.space, self.resolution)
         index = len(study.trials)
         if index >= cells.size:
@@ -402,7 +419,7 @@ class TpeSampler:
     def __init__(self, cfg: TpeConfig = TpeConfig()):
         self.cfg = cfg
 
-    def suggest(self, study: Study, rng: np.random.Generator) -> dict:
+    def suggest(self, study: Study, rng: np.random.Generator | None = None) -> dict:
         return tpe_suggest(study, self.cfg, rng)
 
 

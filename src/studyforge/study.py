@@ -279,10 +279,10 @@ class Study:
         return trial
 
     def ask(self, sampler) -> TrialRecord:
-        trial_id = len(self.trials)
-        params = sampler.suggest(self, self.rng_for(trial_id, lane=0))
+        # a sampler that draws builds the new trial's lane-0 stream itself
+        params = sampler.suggest(self)
         self.space.validate_assignment(params)
-        trial = TrialRecord(trial_id=trial_id, params=params)
+        trial = TrialRecord(trial_id=len(self.trials), params=params)
         self.trials.append(trial)
         return trial
 

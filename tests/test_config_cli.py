@@ -11,6 +11,7 @@ import studyforge.cli as cli_mod
 import studyforge.config as config_mod
 import studyforge.journal as journal_mod
 import studyforge.reporting as reporting_mod
+import studyforge.samplers as samplers_mod
 from studyforge.cli import main
 from studyforge.config import (
     apply_overrides,
@@ -23,10 +24,13 @@ from studyforge.config import (
 from studyforge.errors import ConfigError
 from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
-from studyforge.samplers import grid_enumerate
+from studyforge.samplers import MAX_RESOLUTION, grid_enumerate
+from studyforge.study import Study
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GRID_YAML = CONFIG_DIR.parent / "perfbench" / "configs" / "grid_sphere.yaml"
+# sha256 of the journal `run` writes for GRID_YAML with output_dir=out
+GRID_SPHERE_SHA256 = "6b8da7c210485d903af2252ea45c3319d86e5a89879d1791775e68b7f43ae773"
 
 QUADRATIC_YAML = """\
 objective: quadratic-1d
@@ -417,15 +421,16 @@ class TestApplyOverrides:
 
 def misplace_a_checkpoint(records, case):
     """Edit the records of a `pruned_surrogate.yaml` run, whose checkpoints
-    need 0.9, by ``case``; the seq (once renumbered) and message `run
-    --resume` must refuse them with."""
-    first = next(r for r in records if r["kind"] == "checkpoint")
+    need 0.9, or of a `quadratic.yaml` run, which has no save_threshold, by
+    ``case``; the seq (once renumbered) and message `run --resume` must
+    refuse them with."""
+    first = next((r for r in records if r["kind"] == "checkpoint"), None)
     if case == "due checkpoint missing":
         records.remove(first)
         trial_id = first["trial_id"]
         return first["seq"] - 1, f"trial-end: trial {trial_id}'s due checkpoint is missing"
     ends = [r for r in records if r["kind"] == "trial-end" and r["state"] == "complete"]
-    if case == "undue checkpoint":  # trial 0 is the best so far, but below 0.9
+    if case == "undue checkpoint":  # trial 0 is the best so far, but earns none
         end, reason = ends[0], "does not meet the save threshold"
         assert end["trial_id"] == 0 and end["final_value"] < 0.9
     else:  # no trial after the first checkpoint's can beat its 1.0
@@ -568,11 +573,19 @@ class TestCliRun:
         assert captured.err.count("\n") == 1
         assert journal.read_bytes() == edited
 
-    @pytest.mark.parametrize("case", ["due checkpoint missing", "undue checkpoint", "no gain"])
+    @pytest.mark.parametrize(
+        "config, case",
+        [
+            pytest.param("pruned_surrogate.yaml", case, id=case)
+            for case in ("due checkpoint missing", "undue checkpoint", "no gain")
+        ]
+        # quadratic.yaml has no save_threshold, so no trial earns a checkpoint
+        + [pytest.param("quadratic.yaml", "undue checkpoint", id="no save_threshold")],
+    )
     def test_resume_refuses_a_checkpoint_out_of_place_and_keeps_its_journal(
-        self, tmp_path, capsys, case
+        self, tmp_path, capsys, config, case
     ):
-        argv = ["run", str(CONFIG_DIR / "pruned_surrogate.yaml"), "--set", f"output_dir={tmp_path}"]
+        argv = ["run", str(CONFIG_DIR / config), "--set", f"output_dir={tmp_path}"]
         assert main(argv) == 0
         journal = tmp_path / "journal.jsonl"
         records = [json.loads(line) for line in journal.read_text().splitlines()]
@@ -684,6 +697,22 @@ class TestCliRun:
             "error: sampler.resolution: resolution must be >= 2 for continuous parameter 'x0'\n"
         )
         assert not (out / "journal.jsonl").exists()
+
+    def test_a_grid_resolution_past_the_bound_is_refused_before_a_journal(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # parsed, never run: the bound is checked before any axis is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(samplers_mod.np, "linspace", refuse)
+        out = tmp_path / "out"
+        argv = ["run", str(GRID_YAML), "--set", f"sampler.resolution={MAX_RESOLUTION + 1}"]
+        assert main([*argv, "--set", f"output_dir={out}"]) == 1
+        assert capsys.readouterr().err == (
+            "error: sampler.resolution: resolution must be <= 100000, got 100001\n"
+        )
+        assert not out.exists()
 
     def test_a_grid_of_more_than_maxsize_cells_runs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -861,6 +890,42 @@ class TestCliSplit:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestConfigHashPins:
+    """config_hash of each shipped config, as it was before the grid
+    resolution got its upper bound: a bound refuses values, it does not
+    change the identity of a config that was valid."""
+
+    REPO = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                "configs/default.yaml",
+                "bec480f4d1c83b80c5a2da1cf940801c7a093c29d8552b3c7dcc93630e4e99ef",
+            ),
+            (
+                "configs/pruned_surrogate.yaml",
+                "83dc62aebeaafd36f0cee46b31b87446ef871b96d50f5e7ae57a000326f9efea",
+            ),
+            (
+                "configs/quadratic.yaml",
+                "8e82e3ea96a88485c0b0309300ce740b72bc305c8fc9626204c8f9dd11136358",
+            ),
+            (
+                "perfbench/configs/grid_sphere.yaml",
+                "b4ebe182f5b9f7eed5360554dcc4aff09e711f205d0399f80e1f8c615c20887f",
+            ),
+            (
+                "perfbench/configs/tpe_sphere.yaml",
+                "20164922ec648e5c29f8742c2e32c51633231bc7d4275aa2e0babb5b53553679",
+            ),
+        ],
+    )
+    def test_config_hash_is_pinned(self, config, digest):
+        assert config_hash(parse_config((self.REPO / config).read_text())) == digest
+
+
 class TestJournalPins:
     """sha256 of whole journals written by `run`, recorded before the TPE
     history moved into `Study.tell`: the ask must still draw every float and
@@ -902,12 +967,7 @@ class TestJournalPins:
             ),
             # the first 300 of 10^4 grid cells (recorded while an ask still
             # built the whole product)
-            (
-                "perfbench/configs/grid_sphere.yaml",
-                [],
-                "minimize",
-                "6b8da7c210485d903af2252ea45c3319d86e5a89879d1791775e68b7f43ae773",
-            ),
+            ("perfbench/configs/grid_sphere.yaml", [], "minimize", GRID_SPHERE_SHA256),
         ],
     )
     def test_journal_is_pinned(self, tmp_path, monkeypatch, config, overrides, direction, digest):
@@ -922,6 +982,16 @@ class TestJournalPins:
         raw = (tmp_path / "out" / "journal.jsonl").read_bytes()
         assert json.loads(raw.split(b"\n", 1)[0])["direction"] == direction
         assert hashlib.sha256(raw).hexdigest() == digest
+
+    def test_a_grid_run_builds_no_generator(self, tmp_path, monkeypatch):
+        def refuse(self, trial_id, lane=0):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(Study, "rng_for", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(GRID_YAML), "--set", "output_dir=out"]) == 0
+        raw = (tmp_path / "out" / "journal.jsonl").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == GRID_SPHERE_SHA256
 
 
 class TestReportReplay:

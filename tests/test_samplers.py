@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.stats import truncnorm
 
+import studyforge.samplers as samplers_mod
 from studyforge.errors import ExhaustedSearchError, ValidationError
 from studyforge.samplers import (
     GridSampler,
@@ -31,6 +32,7 @@ from studyforge.study import (
     MAXIMIZE,
     MINIMIZE,
     SearchSpace,
+    Study,
     TrialState,
     boolean,
     choice,
@@ -99,6 +101,33 @@ class TestGridEnumerate:
         with pytest.raises(ValidationError):
             grid_enumerate(SearchSpace({"x": uniform(0, 1)}), resolution=1)
 
+    def test_equal_spaces_share_one_build_of_each_axis(self, monkeypatch):
+        def space():
+            return SearchSpace(
+                {"lr": log_uniform(1e-4, 1e-2), "x": uniform(-1.0, 1.0), "b": boolean()}
+            )
+
+        samplers_mod._continuous_axis.cache_clear()
+        first = grid_enumerate(space(), resolution=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis was built again")
+
+        monkeypatch.setattr(samplers_mod.np, "linspace", refuse)
+        second = grid_enumerate(space(), resolution=5)
+        assert repr(list(second)) == repr(list(first))
+        assert all(a is b for a, b in zip(second.axes, first.axes))
+
+    def test_axes_of_equal_bounds_keep_their_own_floats(self):
+        # int and float bounds compare and hash alike and build the same
+        # floats; a high of -0.0 ends its axis on -0.0, one of 0.0 on 0.0
+        for low, high in ((0, 1), (0.0, 1.0), (0, 1)):
+            axis = grid_enumerate(SearchSpace({"x": uniform(low, high)}), 3).axes[0]
+            assert repr(axis) == "(0.0, 0.5, 1.0)"
+        for high in (-0.0, 0.0, -0.0):
+            axis = grid_enumerate(SearchSpace({"x": uniform(-1.0, high)}), 3).axes[0]
+            assert repr(axis) == f"(-1.0, -0.5, {high!r})"
+
     def test_grid_points_in_domain(self):
         space = SearchSpace({"lr": log_uniform(1e-4, 1e-3), "x": uniform(-2, 3)})
         for cell in grid_enumerate(space, resolution=7):
@@ -165,6 +194,30 @@ class TestGridSampler:
         assert seen == [0.0, 0.5, 1.0]
         with pytest.raises(ExhaustedSearchError):
             study.ask(sampler)
+
+
+class TestAskRng:
+    """A sampler given no generator draws from the next trial's lane-0
+    stream, the one an explicit ``rng_for(len(study.trials), lane=0)`` is."""
+
+    @pytest.mark.parametrize("history", [0, 12], ids=["startup", "fitted"])
+    @pytest.mark.parametrize("sampler", [RandomSampler(), TpeSampler()], ids=["random", "tpe"])
+    def test_no_rng_is_the_next_trials_lane_zero(self, monkeypatch, sampler, history):
+        study = _seeded_history_study(n=history)
+        explicit = study.rng_for(len(study.trials), lane=0)
+        want = sampler.suggest(study, explicit)
+        built, rng_for = [], Study.rng_for
+
+        def spy(self, trial_id, lane=0):
+            built.append((trial_id, lane, rng_for(self, trial_id, lane)))
+            return built[-1][2]
+
+        monkeypatch.setattr(Study, "rng_for", spy)
+        got = sampler.suggest(study)
+        assert repr(got) == repr(want)
+        [(trial_id, lane, rng)] = built
+        assert (trial_id, lane) == (history, 0)
+        assert rng.bit_generator.state == explicit.bit_generator.state
 
 
 class TestSplitObservations:
