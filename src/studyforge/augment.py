@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Output pixels one gather call works on: 8 images of 16x16. Larger blocks
-# gain little speed and grow the temporaries; a block holds at least one image.
-_GATHER_BLOCK_PIXELS = 2048
+# Output pixels one gather call works on (16 images of 16x16; at least one
+# image). The block's temporaries, 32 kB each, then stay in cache: an
+# 84-image epoch took 1.09, 0.78, 0.62 and 0.72 ms at 1024, 2048, 4096 and
+# 8192 pixels on a 2-vCPU Xeon VM, with the same output bits.
+_GATHER_BLOCK_PIXELS = 4096
 # Zero border around each image in the gather (see _bilinear_gather).
 _PAD = 2
 
@@ -90,23 +92,18 @@ def sample_affine_params(
     ``size=n`` gives length-n array fields, as numpy's ``size=`` does. The
     stream order is per image either way: five uniforms, then one
     ``integers(2)`` per allowed flip, so n images draw exactly what n
-    scalar calls would.
+    scalar calls would, and leave the generator in the same state. ``rng``
+    must be a PCG64 Generator (``np.random.default_rng``'s).
     """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ValidationError("sample_affine_params needs a PCG64 Generator")
     n = 1 if size is None else size
-    u = np.empty((n, 5))
     coins = np.zeros((n, 2), dtype=bool)  # hflip, vflip
     allowed = [ranges.allow_hflip, ranges.allow_vflip]
     if any(allowed):
-        # scalar integers(2) calls: a size=k call draws the same, slower
-        draw, toss, k = rng.random, rng.integers, sum(allowed)
-        tosses = []
-        for row in u:
-            draw(out=row)
-            for _ in range(k):
-                tosses.append(toss(2))
-        coins[:, allowed] = np.array(tosses, dtype=bool).reshape(n, k)
+        u, coins[:, allowed] = _draws_with_tosses(rng.bit_generator, n, sum(allowed))
     else:  # no 32-bit draws in between: the uniforms are one run of the stream
-        rng.random(out=u)
+        u = rng.random((n, 5))
     r = ranges.max_rotation_deg
     s = ranges.max_scale_frac
     h = ranges.max_shear_frac
@@ -119,6 +116,42 @@ def sample_affine_params(
     return AffineParams(*values.T, *coins.T)
 
 
+def _draws_with_tosses(bitgen: np.random.PCG64, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """n rows of five ``random()`` doubles, each row followed by k
+    ``integers(2)`` tosses, from one block of raw 64-bit words.
+
+    This is what the Generator computes. A double is a word's top 53 bits
+    times 2**-53. A toss takes a 32-bit half: the high half the generator
+    holds back if it holds one, else a fresh word's low half, holding back
+    its high half. numpy's bounded rule (Lemire's) maps a half to a toss
+    over range 2 as its bit 31, and never rejects. The held-back half is
+    written back into the generator's state at the end.
+    """
+    state = bitgen.state
+    held = state["has_uint32"]
+    # 0 or 1 fresh word per image: its tosses, after the held half if any,
+    # take one word's two halves in turn
+    fresh = np.diff(np.maximum(np.arange(k, n * k + 1, k) - held + 1, 0) // 2, prepend=0)
+    ends = np.cumsum(5 + fresh)
+    toss_words = ends[fresh == 1] - 1
+    is_double = np.ones(5 * n + len(toss_words), dtype=bool)
+    is_double[toss_words] = False
+    raw = bitgen.random_raw(len(is_double))
+    u = (raw[is_double] >> 11).reshape(n, 5) * 2.0**-53
+    words = raw[toss_words]
+    halves = np.empty(held + 2 * len(words), dtype=np.uint64)
+    halves[:held] = state["uinteger"]
+    halves[held::2] = words & 0xFFFFFFFF
+    halves[held + 1 :: 2] = words >> 32
+    tosses = (halves[: n * k] >> 31).astype(bool).reshape(n, k)
+    state = bitgen.state  # now past the words taken
+    state["has_uint32"] = len(halves) - n * k
+    if len(words):
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    return u, tosses
+
+
 def _validate_image(img: np.ndarray, ndims=(2,)) -> np.ndarray:
     arr = np.asarray(img, dtype=float)
     if arr.ndim not in ndims or min(arr.shape[-2:]) < 1:
@@ -127,11 +160,6 @@ def _validate_image(img: np.ndarray, ndims=(2,)) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("image intensities must be finite")
     return arr
-
-
-def _stack2x2(a, b, c, d) -> np.ndarray:
-    """(n, 2, 2) matrices [[a, b], [c, d]] from length-n (or scalar) entries."""
-    return np.stack(np.broadcast_arrays(a, b, c, d), axis=-1).reshape(-1, 2, 2)
 
 
 def affine_matrix(p: AffineParams, width: int, height: int) -> np.ndarray:
@@ -153,16 +181,22 @@ def affine_matrix(p: AffineParams, width: int, height: int) -> np.ndarray:
     theta = (deg * (math.pi / 180.0)).tolist()
     cos = np.array(list(map(math.cos, theta)))
     sin = np.array(list(map(math.sin, theta)))
-    fx = np.where(p.hflip, -1.0, 1.0)
-    fy = np.where(p.vflip, -1.0, 1.0)
-    rot = _stack2x2(cos, -sin, sin, cos)
-    flip = _stack2x2(fx, 0.0, 0.0, fy)
-    linear = flip @ rot @ _stack2x2(scale, 0.0, 0.0, scale) @ _stack2x2(1.0, shear, 0.0, 1.0)
+    # the four factors as (n, 2, 2) stacks, each filled slot by slot
+    flip, rot, zoom, skew = np.zeros((4, len(theta), 2, 2))
+    flip[:, 0, 0] = np.where(p.hflip, -1.0, 1.0)
+    flip[:, 1, 1] = np.where(p.vflip, -1.0, 1.0)
+    rot[:, 0, 0] = rot[:, 1, 1] = cos
+    rot[:, 0, 1] = -sin
+    rot[:, 1, 0] = sin
+    zoom[:, 0, 0] = zoom[:, 1, 1] = scale
+    skew[:, 0, 0] = skew[:, 1, 1] = 1.0
+    skew[:, 0, 1] = shear
+    linear = flip @ rot @ zoom @ skew
     l00, l01, l10, l11 = linear.reshape(-1, 4).T
     det = l00 * l11 - l01 * l10
     if np.any(np.abs(det) < 1e-12):
         raise ValidationError("singular affine transform (scale ~ 0)")
-    inv = _stack2x2(l11, -l01, -l10, l00) / det[:, None, None]
+    inv = np.stack([l11, -l01, -l10, l00], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
 
     offset = flip @ np.stack([tx * width, ty * height], axis=-1)[..., None]
     center = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
@@ -187,45 +221,66 @@ def apply_affine(img: np.ndarray, m: np.ndarray) -> np.ndarray:
     if m.shape != arr.shape[:-2] + (2, 3) or not np.all(np.isfinite(m)):
         raise ValidationError("matrix must be a finite 2x3 array per image")
     m = m.reshape(n, 2, 3, 1, 1)
-    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    # a sample is at (m00 x + m01 y) + m02 and (m10 x + m11 y) + m12: the
+    # products are per column and per row, the sums per pixel
+    xs = np.arange(w, dtype=float)
+    ys = np.arange(h, dtype=float)[:, None]
     out = np.empty((n, h, w))
     per_block = max(1, _GATHER_BLOCK_PIXELS // (h * w))
+    padded = np.zeros((min(n, per_block), h + 2 * _PAD, w + 2 * _PAD))
     for start in range(0, n, per_block):
         mb = m[start : start + per_block]
-        sx = mb[:, 0, 0] * xs + mb[:, 0, 1] * ys + mb[:, 0, 2]
-        sy = mb[:, 1, 0] * xs + mb[:, 1, 1] * ys + mb[:, 1, 2]
-        out[start : start + per_block] = _bilinear_gather(
-            stack[start : start + per_block], sx, sy
-        )
+        b = len(mb)
+        sx = np.add(mb[:, 0, 0] * xs, mb[:, 0, 1] * ys)
+        sx += mb[:, 0, 2]
+        sy = np.add(mb[:, 1, 0] * xs, mb[:, 1, 1] * ys)
+        sy += mb[:, 1, 2]
+        padded[:b, _PAD:-_PAD, _PAD:-_PAD] = stack[start : start + b]
+        _bilinear_gather(padded[:b], sx, sy, out[start : start + b])
     return out if arr.ndim == 3 else out[0]
 
 
-def _bilinear_gather(stack: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample each image of stack (b, h, w) at its own coordinates (b, oh, ow).
+def _bilinear_gather(padded: np.ndarray, sx: np.ndarray, sy: np.ndarray, out: np.ndarray) -> None:
+    """Sample each image of ``padded`` at its own coordinates sx, sy
+    (b, oh, ow) into ``out``; sx and sy are overwritten.
 
-    The images are zero-padded by 2 px and the top-left neighbour's indices
-    clipped to [-2, size]: a clipped sample and its +1 neighbour then both
-    land in the zero border, so no mask is needed.
+    The images (b, h, w) sit inside a zero border of _PAD = 2 px, and the
+    top-left neighbour's indices are clamped to [-2, size]: a clamped
+    sample and its +1 neighbour then both land in the border, so no mask
+    is needed.
     """
-    b, h, w = stack.shape
-    padded = np.zeros((b, h + 2 * _PAD, w + 2 * _PAD))
-    padded[:, _PAD:-_PAD, _PAD:-_PAD] = stack
+    b, pad_h, row = padded.shape
+    # float bounds: np.maximum and np.minimum are slower with int ones
+    low, h, w = -float(_PAD), float(pad_h - 2 * _PAD), float(row - 2 * _PAD)
     x0 = np.floor(sx)
     y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    row = w + 2 * _PAD
-    xi = np.clip(x0, -_PAD, w).astype(np.intp) + _PAD
-    yi = np.clip(y0, -_PAD, h).astype(np.intp) + _PAD
-    base = np.arange(b).reshape(b, 1, 1) * padded[0].size
-    idx = base + yi * row + xi
+    fx = np.subtract(sx, x0, out=sx)
+    fy = np.subtract(sy, y0, out=sy)
+    # the top-left neighbour's flat index, in floats (exact at these sizes)
+    np.maximum(x0, low, out=x0)
+    np.minimum(x0, w, out=x0)
+    np.maximum(y0, low, out=y0)
+    np.minimum(y0, h, out=y0)
+    y0 *= row
+    y0 += x0
+    y0 += (np.arange(b) * padded[0].size + _PAD * row + _PAD).reshape(b, 1, 1)
+    idx = y0.astype(np.intp)
+    # each neighbour is read through a view that starts at its offset
     flat = padded.ravel()
-    return (
-        (1.0 - fx) * (1.0 - fy) * flat[idx]
-        + fx * (1.0 - fy) * flat[idx + 1]
-        + (1.0 - fx) * fy * flat[idx + row]
-        + fx * fy * flat[idx + row + 1]
-    )
+    gx = np.subtract(1.0, fx)
+    gy = np.subtract(1.0, fy)
+    # (((gx gy) v00 + (fx gy) v01) + (gx fy) v10) + (fx fy) v11
+    np.multiply(gx, gy, out=out)
+    out *= flat[idx]
+    term = np.multiply(fx, gy, out=x0)
+    term *= flat[1:][idx]
+    out += term
+    np.multiply(gx, fy, out=term)
+    term *= flat[row:][idx]
+    out += term
+    np.multiply(fx, fy, out=term)
+    term *= flat[row + 1 :][idx]
+    out += term
 
 
 def resize_to(img: np.ndarray, side: int = 224) -> np.ndarray:
@@ -237,13 +292,17 @@ def resize_to(img: np.ndarray, side: int = 224) -> np.ndarray:
     if (h, w) == (side, side):
         return arr.copy()
     if side == 1:
-        sx = np.full((1, 1), (w - 1) / 2.0)
-        sy = np.full((1, 1), (h - 1) / 2.0)
+        sx = np.full((1, 1, 1), (w - 1) / 2.0)
+        sy = np.full((1, 1, 1), (h - 1) / 2.0)
     else:
         grid = np.arange(side, dtype=float) / (side - 1)
-        sx = np.tile(grid * (w - 1), (side, 1))
-        sy = np.tile((grid * (h - 1))[:, None], (1, side))
-    return _bilinear_gather(arr[None], sx[None], sy[None])[0]
+        sx = np.tile(grid * (w - 1), (1, side, 1))
+        sy = np.tile((grid * (h - 1))[:, None], (1, 1, side))
+    padded = np.zeros((1, h + 2 * _PAD, w + 2 * _PAD))
+    padded[0, _PAD:-_PAD, _PAD:-_PAD] = arr
+    out = np.empty((1, side, side))
+    _bilinear_gather(padded, sx, sy, out)
+    return out[0]
 
 
 # --- PGM ("P5") ingestion: 8-bit, or 16-bit big-endian ---------------------

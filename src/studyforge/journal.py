@@ -8,8 +8,8 @@ returns, so a process crash loses nothing. Only the records that close a
 unit of work (`study-meta`, `trial-end`, `checkpoint`) are fsynced, and one
 fsync makes every earlier byte durable: a power loss can drop only the
 records of the trial in flight, which `run --resume` re-creates. Either
-way the file is a valid prefix plus at most one garbage tail line, which
-replay ignores.
+way the file is a valid prefix plus at most one torn tail line, which
+lacks its newline and which replay ignores.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ def _repair_tail(path: Path, raw: bytes, ends: list[int], keep: int | None = Non
 def read_records(path) -> list[dict]:
     """Parse the journal, tolerating a torn final line.
 
-    Any unreadable or out-of-sequence record other than the trailing one
-    raises JournalCorruptError naming the expected sequence number.
+    Only a last line without its newline can be torn. Any other unreadable
+    or out-of-sequence record raises JournalCorruptError naming the
+    expected sequence number.
     """
     return read_journal(path)[1]
 
@@ -159,8 +160,8 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
             if seq == 0 and kind != KIND_META:
                 raise ValueError("first record must be study-meta")
         except (ValueError, UnicodeDecodeError) as exc:
-            if i == last:
-                break  # torn write: ignore the tail
+            if i == last and not raw.endswith(b"\n"):
+                break  # torn write: a record's line is written whole, newline last
             raise JournalCorruptError(seq, str(exc)) from None
         records.append(record)
         end += len(line) + 1

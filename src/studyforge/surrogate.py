@@ -12,7 +12,7 @@ live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,11 +182,17 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
     return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
-def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray, acts: dict | None = None) -> float:
+    """Mean cross-entropy of a minibatch. A dict passed as ``acts`` (the
+    one ``mlp_forward`` filled for these logits) receives their softmax,
+    so ``mlp_backward`` need not compute it again."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    if acts is not None:
+        acts["probs"] = np.divide(e, z, out=e)
     picked = shifted[np.arange(len(labels)), labels]
-    return float(np.mean(log_z - picked))
+    return float((np.log(z[:, 0]) - picked).sum() / len(labels))  # np.mean's arithmetic
 
 
 def mlp_forward(
@@ -224,7 +230,7 @@ def mlp_forward(
         hidden = a1
     logits = hidden @ model.w2 + model.b2
     if acts is not None:
-        acts.update(z1=z1, hidden=hidden, logits=logits)
+        acts.update(z1=z1, hidden=hidden, logits=logits, probs=None)
     return logits, mask
 
 
@@ -239,8 +245,9 @@ def mlp_backward(
     """Exact gradients of mean cross-entropy with the dropout mask fixed.
 
     ``acts`` from the ``mlp_forward`` call on the same batch and mask skips
-    the forward pass; without it the pass runs here. ``out`` (arrays named
-    and shaped like ``model.params()``) receives the gradients in place.
+    the forward pass, and the softmax too once ``batch_cross_entropy`` has
+    put it there; without it the pass runs here. ``out`` (arrays named and
+    shaped like ``model.params()``) receives the gradients in place.
     """
     x = np.asarray(batch, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -250,7 +257,9 @@ def mlp_backward(
         acts = {}
         mlp_forward(model, x, train=mask is not None, mask=mask, acts=acts)
 
-    probs = softmax(acts["logits"])
+    probs = acts.pop("probs", None)
+    if probs is None:
+        probs = softmax(acts["logits"])
     probs[np.arange(n), y] -= 1.0
     d_logits = probs / n
 
@@ -290,6 +299,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # per-array scratch for a step's temporaries, made on the first step
+    work: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -309,12 +320,13 @@ def adam_step(
 
     Each array, and its moments, is updated in place by whole-array
     operations in the order of the textbook formulas, so one flat buffer
-    (as the trainer keeps) takes one update per step.
+    (as the trainer keeps) takes one update per step. Its temporaries live
+    in ``state.work``.
     """
     if lr <= 0:
         raise ValidationError("lr must be positive")
     for g in grads.values():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
@@ -323,18 +335,22 @@ def adam_step(
     bc2 = 1.0 - b2**t
     for k, p in params.items():
         g, m, v = grads[k], state.m[k], state.v[k]
+        if k not in state.work:
+            state.work[k] = np.empty((2, *p.shape))
+        step, den = state.work[k]
         # m = b1 * m + (1 - b1) * g
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(1.0 - b1, g, out=step)
+        m += step
         # v = b2 * v + (1 - b2) * g * g
         v *= b2
-        step = (1.0 - b2) * g
+        np.multiply(1.0 - b2, g, out=step)
         step *= g
         v += step
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=step)
         step *= lr
-        den = v / bc2
+        np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
         den += state.eps
         step /= den
@@ -461,7 +477,7 @@ def train_and_evaluate(
             xb = batch_pool[start : start + hp["batch_size"]]
             yb = labels_pool[start : start + hp["batch_size"]]
             logits, mask = mlp_forward(model, xb, train=True, rng=rng, acts=acts)
-            loss = batch_cross_entropy(logits, yb)
+            loss = batch_cross_entropy(logits, yb, acts)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             mlp_backward(model, xb, yb, mask, acts=acts, out=grad_views)

@@ -480,6 +480,61 @@ def test_batched_draws_match_per_image_draws(seed, envelopes, hflip, vflip, pend
     assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
 
 
+def reference_draws(ranges, rng, size=None):
+    """The per-image Generator calls the raw-word draws replaced: five
+    ``random()`` doubles, then one ``integers(2)`` per allowed flip."""
+    rows = []
+    for _ in range(1 if size is None else size):
+        u = rng.random(5)
+        flips = [bool(rng.integers(2)) if allowed else False for allowed in (ranges.allow_hflip, ranges.allow_vflip)]
+        rows.append([*(low + (high - low) * x for low, high, x in zip(*envelope(ranges), u)), *flips])
+    return rows
+
+
+def envelope(ranges):
+    r, s, h, t = (ranges.max_rotation_deg, ranges.max_scale_frac, ranges.max_shear_frac, ranges.max_translate_frac)
+    return [-r, 1.0 - s, -h, -t, -t], [r, 1.0 + s, h, t, t]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63),
+    envelopes=st.tuples(
+        st.floats(0.0, 180.0), st.floats(0.0, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+    ),
+    flips=st.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
+    # 0: fresh; 1: half of a word held back by integers(2); 2: after a
+    # permutation, which may or may not hold one back
+    before=st.integers(0, 2),
+    size=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+)
+def test_raw_word_draws_match_per_image_generator_calls(seed, envelopes, flips, before, size):
+    ranges = AffineRanges(*envelopes, *flips)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        if before == 1:
+            rng.integers(2)
+        elif before == 2:
+            rng.permutation(seed % 97 + 1)
+    expected = reference_draws(ranges, rngs[0], size)
+    params = sample_affine_params(ranges, rngs[1], size)
+    fields = list(vars(params).values())
+    got = [fields] if size is None else [list(row) for row in zip(*fields)]
+    assert got == expected
+    assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+    # the next 32- and 64-bit draws come from the same place in the stream
+    assert rngs[1].integers(2**32) == rngs[0].integers(2**32)
+    assert rngs[1].random() == rngs[0].random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_a_generator_that_is_not_pcg64_is_refused(bit_generator):
+    rng = np.random.Generator(bit_generator(0))
+    for ranges in (AffineRanges(), AffineRanges(allow_hflip=False, allow_vflip=False)):
+        with pytest.raises(ValidationError, match="PCG64"):
+            sample_affine_params(ranges, rng, 4)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     params=st.lists(affine_params, min_size=1, max_size=9),

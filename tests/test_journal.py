@@ -155,6 +155,19 @@ class TestReadRecords:
             fh.write(bytes([0xFF, 0xFE, 0x00, 0x80]))
         assert read_records(path) == whole
 
+    @pytest.mark.parametrize(
+        "line", [b'{"seq": 5, "kind": "trial-sta', b'{"seq": 5, "kind": "bogus"}', b""]
+    )
+    def test_bad_last_line_with_its_newline_is_not_torn(self, tmp_path, line):
+        # a crash cuts a line short of its newline; a whole bad line is corrupt
+        path = tmp_path / "study.jsonl"
+        write_demo_journal(path)
+        with open(path, "ab") as fh:
+            fh.write(line + b"\n")
+        with pytest.raises(JournalCorruptError) as exc_info:
+            read_records(path)
+        assert exc_info.value.seq == 5
+
     def test_mid_file_corruption_names_expected_seq(self, tmp_path):
         path = tmp_path / "study.jsonl"
         write_demo_journal(path)
@@ -462,6 +475,8 @@ HAND_EDITS = {
     "null checkpoint trial_id": (3, lambda r: r.update(trial_id=None), "checkpoint: trial_id is"),
     "list checkpoint trial_id": (3, lambda r: r.update(trial_id=[0]), "checkpoint: trial_id is"),
     "string checkpoint trial_id": (3, lambda r: r.update(trial_id="0"), "checkpoint: trial_id is"),
+    # a newline-terminated last line was written whole, so it is not torn
+    "last record's kind is bogus": (9, lambda r: r.update(kind="bogus"), "unknown kind 'bogus'"),
     # a checkpoint exactly as its trial would write it, but the trial is no best
     "checkpoint of a trial that does not improve": (
         9,
@@ -566,7 +581,7 @@ class TestFaultInjectionSweep:
         assert main(["run", config, *overrides]) == 0
         lines = (run_dir / "journal.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        # two checkpoints, neither the last record (a torn last line is dropped)
+        # two checkpoints, neither the last record
         checkpoints = [r["seq"] for r in records if r["kind"] == KIND_CHECKPOINT]
         assert len(checkpoints) == 2 and checkpoints[-1] < len(records) - 1
         path = tmp_path / "edited.jsonl"
@@ -700,7 +715,8 @@ class TestReplayChecksParamsAsAskDoes:
 
 
 def old_parse(raw):
-    """`_parse` as it was before its fast path: one json.loads per line."""
+    """`_parse` as it was before its fast path: one json.loads per line,
+    with only a last line that lacks its newline dropped as torn."""
     end, ends, records = 0, [], []
     lines = raw.split(b"\n")
     if lines and lines[-1] == b"":
@@ -717,7 +733,7 @@ def old_parse(raw):
             if len(records) == 0 and record["kind"] != KIND_META:
                 raise ValueError("first record must be study-meta")
         except (ValueError, UnicodeDecodeError) as exc:
-            if i == len(lines) - 1:
+            if i == len(lines) - 1 and not raw.endswith(b"\n"):
                 break
             raise JournalCorruptError(len(records), str(exc)) from None
         records.append(record)

@@ -619,6 +619,39 @@ class TestFlatTrainingStep:
         for k in recomputed:
             assert np.array_equal(cached[k], recomputed[k]), k
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 40), scale=st.floats(1e-3, 1e3))
+    def test_loss_is_the_mean_formula_and_leaves_its_softmax(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0.0, scale, size=(n, 3))
+        labels = rng.integers(0, 3, size=n)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        picked = shifted[np.arange(n), labels]
+        expected = float(np.mean(np.log(np.exp(shifted).sum(axis=1)) - picked))
+        acts = {}
+        assert batch_cross_entropy(logits, labels, acts) == expected
+        assert batch_cross_entropy(logits, labels) == expected
+        assert np.array_equal(acts["probs"], softmax(logits))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_backward_after_the_loss_uses_its_softmax_once(self, dropout):
+        model = small_model(seed=5, input_dim=6, hidden=5, n_classes=3, dropout=dropout)
+        rng = np.random.default_rng(7)
+        acts = {}
+        # a softmax left by an earlier batch's loss is not read for a later one
+        mlp_forward(model, rng.random((4, 6)), train=True, rng=rng, acts=acts)
+        batch_cross_entropy(acts["logits"], np.zeros(4, dtype=int), acts)
+        x, y = rng.random((7, 6)), rng.integers(0, 3, size=7)
+        for with_loss in (False, True):
+            logits, mask = mlp_forward(model, x, train=True, rng=rng, acts=acts)
+            if with_loss:
+                batch_cross_entropy(logits, y, acts)
+            grads = mlp_backward(model, x, y, mask, acts=acts)
+            recomputed = mlp_backward(model, x, y, mask)
+            for k in recomputed:
+                assert np.array_equal(grads[k], recomputed[k]), (with_loss, k)
+            assert acts.get("probs") is None
+
     def test_backward_reuses_the_training_forward_pass(self, default_split, monkeypatch):
         logits_seen, reused = [], []
         forward, backward = surrogate.mlp_forward, surrogate.mlp_backward
