@@ -29,13 +29,10 @@ def _best_payload(best) -> dict:
 
 def cmd_run(config_path: str, overrides: list[str], resume: bool = False) -> int:
     raw = load_yaml(Path(config_path).read_text())
-    if overrides:
-        raw = apply_overrides(raw, overrides)
     env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        raw = dict(raw)
-        raw["seed"] = int(env_seed)
-    config = config_from_mapping(raw)
+    if env_seed is not None:  # the last override, so it wins over --set seed=
+        overrides = [*overrides, f"seed={env_seed}"]
+    config = config_from_mapping(apply_overrides(raw, overrides))
 
     result = run_study(config, resume=resume)
     out_dir = Path(config.output_dir)

@@ -1,13 +1,16 @@
 """Experiment configuration: strict YAML parsing, overrides, round-trip.
 
 Unknown keys are rejected with their full dot path so typos fail loudly
-instead of silently falling back to defaults. The keys of a section
-(sampler.tpe, pruner, policy, synthetic) are the fields of its dataclass,
-which both parsing and ``serialize_config`` walk, so a new field is a
-config key and enters ``config_hash`` with no edit here. parse_config is
-pure text in, config out; the seed env override is applied by the CLI layer.
-The config's other facts live here too: the run policy, the objective's
-direction and ``config_hash``, the config's identity.
+instead of silently falling back to defaults. The config's keys are the
+fields of its dataclasses: ``_parse_section`` walks them to parse every
+section and the root, and ``serialize_config`` walks them to write the
+config back, so a new field is a config key and enters ``config_hash``
+with no edit here. A field's metadata may name its parser. The root's own
+rules run when an ``ExperimentConfig`` is built, so a config built in code
+is checked like a parsed one. parse_config is pure text in, config out;
+the seed env override is applied by the CLI layer. The config's other
+facts live here too: the run policy, the objective's direction and
+``config_hash``, the config's identity.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -36,8 +39,6 @@ from .study import (
     SearchSpace,
 )
 from .surrogate import BENCHMARKS, DEFAULT_HP, SyntheticSpec
-
-SAMPLER_KINDS = ("tpe", "random", "grid")
 
 SURROGATE_PARAMS = tuple(DEFAULT_HP)
 
@@ -62,81 +63,6 @@ def load_yaml(text: str):
         raise ConfigError(f"invalid YAML: {exc}") from None
 
 
-@dataclass(frozen=True)
-class DataConfig:
-    manifest: str
-    ratios: tuple = DEFAULT_RATIOS
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class SamplerSpec:
-    kind: str = "tpe"
-    tpe: TpeConfig = field(default_factory=TpeConfig)
-    resolution: int = 5
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """Trial budget plus the save/stop thresholds. Once a completed value
-    meets save_threshold and improves on the prior best, a checkpoint
-    record is written; once a completed value meets stop_threshold, no
-    further trials start.
-
-    ``max_parallel`` accepts any value >= 1 and enters the config hash, but
-    trials always run one at a time.
-    """
-
-    n_trials: int = 20
-    max_parallel: int = 1
-    save_threshold: float | None = None
-    stop_threshold: float | None = None
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValidationError("n_trials must be >= 1")
-        if self.max_parallel < 1:
-            raise ValidationError("max_parallel must be >= 1")
-
-    def validate_for_direction(self, direction: str) -> None:
-        if self.save_threshold is None or self.stop_threshold is None:
-            return
-        if direction == MAXIMIZE and self.stop_threshold < self.save_threshold:
-            raise ValidationError("stop_threshold must be >= save_threshold")
-        if direction == MINIMIZE and self.stop_threshold > self.save_threshold:
-            raise ValidationError("stop_threshold must be <= save_threshold")
-
-
-def direction_for_objective(objective: str) -> str:
-    if objective == "surrogate":
-        return MAXIMIZE
-    if objective in BENCHMARKS:
-        return MINIMIZE
-    raise ValidationError(f"unknown objective {objective!r}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    objective: str
-    space: SearchSpace
-    seed: int = 0
-    task: str = "binary"
-    epochs: int = 20
-    output_dir: str = "runs/study"
-    sampler: SamplerSpec = field(default_factory=SamplerSpec)
-    pruner: PrunerConfig | None = None
-    policy: RunPolicy = field(default_factory=RunPolicy)
-    data: DataConfig | None = None
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-
-    def __post_init__(self):
-        self.policy.validate_for_direction(self.direction)
-
-    @property
-    def direction(self) -> str:
-        return direction_for_objective(self.objective)
-
-
 def _require_mapping(node, path):
     if not isinstance(node, dict):
         raise ConfigError(f"expected a mapping at {path or '<root>'}")
@@ -146,12 +72,11 @@ def _require_mapping(node, path):
     return node
 
 
-def _take(node: dict, key: str, path: str, default=None, required=False):
-    if key in node:
-        return node.pop(key)
-    if required:
+def _take(node: dict, key: str, path: str):
+    """Pop a required key."""
+    if key not in node:
         raise ConfigError("missing required key", path=_join(path, key))
-    return default
+    return node.pop(key)
 
 
 def _join(path: str, key: str) -> str:
@@ -186,15 +111,15 @@ def _as_str(value, path, allowed=None):
 
 def _parse_distribution(name: str, node, path: str) -> Distribution:
     node = dict(_require_mapping(node, path))
-    kind = _as_str(_take(node, "kind", path, required=True), _join(path, "kind"))
+    kind = _as_str(_take(node, "kind", path), _join(path, "kind"))
     try:
         if kind in (UNIFORM, LOG_UNIFORM):
-            low = _as_float(_take(node, "low", path, required=True), _join(path, "low"))
-            high = _as_float(_take(node, "high", path, required=True), _join(path, "high"))
+            low = _as_float(_take(node, "low", path), _join(path, "low"))
+            high = _as_float(_take(node, "high", path), _join(path, "high"))
             _reject_unknown(node, path)
             return Distribution(kind=kind, low=low, high=high)
         if kind in (INT_CATEGORICAL, CHOICE):
-            choices = _take(node, "choices", path, required=True)
+            choices = _take(node, "choices", path)
             if not isinstance(choices, list):
                 raise ConfigError("choices must be a list", path=_join(path, "choices"))
             _reject_unknown(node, path)
@@ -273,47 +198,139 @@ def _check_benchmark_space(objective: str, space: SearchSpace) -> None:
 
 
 def _parse_section(node, path: str, cls):
-    """Build dataclass ``cls`` from a mapping of its own fields: an ``int``
-    field takes an integer, any other field a number."""
+    """Build dataclass ``cls`` from a mapping of its own fields. A field
+    takes the parser its metadata names; otherwise an ``int`` field takes
+    an integer, a ``str`` field a string (one of its metadata's
+    ``allowed``, if any) and any other field a number. A field without a
+    default is required."""
     node = dict(_require_mapping(node, path))
     kwargs = {}
     for f in fields(cls):
-        if f.name in node:
-            convert = _as_int if f.type in ("int", int) else _as_float
-            kwargs[f.name] = convert(node.pop(f.name), _join(path, f.name))
+        if f.name not in node and (f.default is not MISSING or f.default_factory is not MISSING):
+            continue  # the dataclass's default
+        key, value = _join(path, f.name), _take(node, f.name, path)
+        if "parse" in f.metadata:
+            kwargs[f.name] = f.metadata["parse"](value, key)
+        elif f.type in ("int", int):
+            kwargs[f.name] = _as_int(value, key)
+        elif f.type in ("str", str):
+            kwargs[f.name] = _as_str(value, key, f.metadata.get("allowed"))
+        else:
+            kwargs[f.name] = _as_float(value, key)
     _reject_unknown(node, path)
     try:
         return cls(**kwargs)
-    except Exception as exc:
-        raise ConfigError(str(exc), path=path) from exc
+    except ConfigError:
+        raise
+    except Exception as exc:  # a rule of the section's own, under its path
+        raise ConfigError(str(exc), path=getattr(exc, "section", path)) from exc
 
 
-def _parse_sampler(node, path: str) -> SamplerSpec:
-    node = dict(_require_mapping(node, path))
-    kind = _as_str(
-        _take(node, "kind", path, default="tpe"), _join(path, "kind"), allowed=SAMPLER_KINDS
-    )
-    resolution = _as_int(_take(node, "resolution", path, default=5), _join(path, "resolution"))
-    tpe = _parse_section(_take(node, "tpe", path, default={}), _join(path, "tpe"), TpeConfig)
-    _reject_unknown(node, path)
-    return SamplerSpec(kind=kind, tpe=tpe, resolution=resolution)
+def _section(cls) -> dict:
+    """Field metadata of a nested section: it is parsed by walking ``cls``."""
+    return {"parse": lambda node, path: _parse_section(node, path, cls)}
 
 
-def _parse_data(node, path: str) -> DataConfig:
-    node = dict(_require_mapping(node, path))
-    manifest = _as_str(_take(node, "manifest", path, required=True), _join(path, "manifest"))
-    seed = _as_int(_take(node, "seed", path, default=0), _join(path, "seed"))
-    ratios_path = _join(path, "ratios")
-    ratios = _take(node, "ratios", path, default=list(DEFAULT_RATIOS))
-    if not isinstance(ratios, list):
-        raise ConfigError("ratios must be a list of three numbers", path=ratios_path)
-    ratios = [_as_float(r, ratios_path) for r in ratios]
+def _parse_ratios(node, path: str) -> tuple:
+    if not isinstance(node, list):
+        raise ConfigError("ratios must be a list of three numbers", path=path)
+    ratios = [_as_float(r, path) for r in node]
     try:
-        ratios = check_ratios(ratios)
+        return check_ratios(ratios)
     except ValidationError as exc:
-        raise ConfigError(str(exc), path=ratios_path) from None
-    _reject_unknown(node, path)
-    return DataConfig(manifest=manifest, ratios=ratios, seed=seed)
+        raise ConfigError(str(exc), path=path) from None
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    manifest: str
+    ratios: tuple = field(default=DEFAULT_RATIOS, metadata={"parse": _parse_ratios})
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class SamplerSpec:
+    kind: str = field(default="tpe", metadata={"allowed": ("tpe", "random", "grid")})
+    tpe: TpeConfig = field(default_factory=TpeConfig, metadata=_section(TpeConfig))
+    resolution: int = 5
+
+
+@dataclass(frozen=True)
+class RunPolicy:
+    """Trial budget plus the save/stop thresholds. Once a completed value
+    meets save_threshold and improves on the prior best, a checkpoint
+    record is written; once a completed value meets stop_threshold, no
+    further trials start.
+
+    ``max_parallel`` accepts any value >= 1 and enters the config hash, but
+    trials always run one at a time.
+    """
+
+    n_trials: int = 20
+    max_parallel: int = 1
+    save_threshold: float | None = None
+    stop_threshold: float | None = None
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValidationError("n_trials must be >= 1")
+        if self.max_parallel < 1:
+            raise ValidationError("max_parallel must be >= 1")
+
+    def validate_for_direction(self, direction: str) -> None:
+        if self.save_threshold is None or self.stop_threshold is None:
+            return
+        if direction == MAXIMIZE and self.stop_threshold < self.save_threshold:
+            raise ValidationError("stop_threshold must be >= save_threshold")
+        if direction == MINIMIZE and self.stop_threshold > self.save_threshold:
+            raise ValidationError("stop_threshold must be <= save_threshold")
+
+
+def direction_for_objective(objective: str) -> str:
+    if objective == "surrogate":
+        return MAXIMIZE
+    if objective in BENCHMARKS:
+        return MINIMIZE
+    raise ValidationError(f"unknown objective {objective!r}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    objective: str = field(metadata={"allowed": ("surrogate",) + BENCHMARKS})
+    space: SearchSpace = field(metadata={"parse": parse_space})
+    seed: int = 0
+    task: str = field(default="binary", metadata={"allowed": tuple(TASK_CLASSES)})
+    epochs: int = 20
+    output_dir: str = "runs/study"
+    sampler: SamplerSpec = field(default_factory=SamplerSpec, metadata=_section(SamplerSpec))
+    pruner: PrunerConfig | None = field(default=None, metadata=_section(PrunerConfig))
+    policy: RunPolicy = field(default_factory=RunPolicy, metadata=_section(RunPolicy))
+    data: DataConfig | None = field(default=None, metadata=_section(DataConfig))
+    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec, metadata=_section(SyntheticSpec))
+
+    def __post_init__(self):
+        direction = self.direction
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1", path="epochs")
+        if self.objective == "surrogate":
+            _check_surrogate_space(self.space)
+        else:
+            _check_benchmark_space(self.objective, self.space)
+        if self.sampler.kind == "grid":
+            # the rule the first ask applies, refused before a journal is written
+            try:
+                grid_enumerate(self.space, self.sampler.resolution)
+            except ValidationError as exc:
+                raise ConfigError(str(exc), path="sampler.resolution") from None
+        try:
+            self.policy.validate_for_direction(direction)
+        except ValidationError as exc:
+            exc.section = "policy"  # a parse prefixes it; a built config keeps the bare text
+            raise
+
+    @property
+    def direction(self) -> str:
+        return direction_for_objective(self.objective)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -321,84 +338,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_from_mapping(raw) -> ExperimentConfig:
-    raw = dict(_require_mapping(raw, ""))
-    objective = _as_str(
-        _take(raw, "objective", "", required=True),
-        "objective",
-        allowed=("surrogate",) + BENCHMARKS,
-    )
-    task = _as_str(_take(raw, "task", "", default="binary"), "task", allowed=tuple(TASK_CLASSES))
-    seed = _as_int(_take(raw, "seed", "", default=0), "seed")
-    epochs = _as_int(_take(raw, "epochs", "", default=20), "epochs")
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1", path="epochs")
-    output_dir = _as_str(_take(raw, "output_dir", "", default="runs/study"), "output_dir")
-
-    space = parse_space(_take(raw, "space", "", required=True))
-    if objective == "surrogate":
-        _check_surrogate_space(space)
-    else:
-        _check_benchmark_space(objective, space)
-
-    sampler_node = _take(raw, "sampler", "", default={})
-    sampler = _parse_sampler(sampler_node, "sampler")
-    if sampler.kind == "grid":
-        # the rule the first ask applies, refused before a journal is written
-        try:
-            grid_enumerate(space, sampler.resolution)
-        except ValidationError as exc:
-            raise ConfigError(str(exc), path="sampler.resolution") from None
-
-    pruner = None
-    if "pruner" in raw:
-        pruner = _parse_section(raw.pop("pruner"), "pruner", PrunerConfig)
-
-    policy = _parse_section(_take(raw, "policy", "", default={}), "policy", RunPolicy)
-
-    data = None
-    if "data" in raw:
-        data = _parse_data(raw.pop("data"), "data")
-
-    synthetic = _parse_section(_take(raw, "synthetic", "", default={}), "synthetic", SyntheticSpec)
-
-    _reject_unknown(raw, "")
-
-    try:
-        return ExperimentConfig(
-            objective=objective,
-            space=space,
-            seed=seed,
-            task=task,
-            epochs=epochs,
-            output_dir=output_dir,
-            sampler=sampler,
-            pruner=pruner,
-            policy=policy,
-            data=data,
-            synthetic=synthetic,
-        )
-    except ValidationError as exc:  # the policy's thresholds against the direction
-        raise ConfigError(str(exc), path="policy") from exc
+    return _parse_section(raw, "", ExperimentConfig)
 
 
-def serialize_config(config: ExperimentConfig) -> dict:
-    """Plain mapping that parses back to an equal config."""
-    out = {
-        "objective": config.objective,
-        "task": config.task,
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "output_dir": config.output_dir,
-        "space": config.space.to_dict(),
-        "sampler": asdict(config.sampler),
-        "policy": {k: v for k, v in asdict(config.policy).items() if v is not None},
-        "synthetic": asdict(config.synthetic),
-    }
-    if config.pruner is not None:
-        out["pruner"] = asdict(config.pruner)
-    if config.data is not None:
-        out["data"] = asdict(config.data) | {"ratios": list(config.data.ratios)}
-    return out
+def serialize_config(value) -> dict:
+    """Plain data that parses back to an equal config: a walk over the
+    fields the parse walks, where an unset (None) field is left out."""
+    if isinstance(value, SearchSpace):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return list(value)
+    if not is_dataclass(value):
+        return value
+    pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
+    return {name: serialize_config(v) for name, v in pairs if v is not None}
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -14,6 +14,8 @@ import studyforge.reporting as reporting_mod
 import studyforge.samplers as samplers_mod
 from studyforge.cli import main
 from studyforge.config import (
+    ExperimentConfig,
+    SamplerSpec,
     apply_overrides,
     config_from_mapping,
     config_hash,
@@ -25,7 +27,7 @@ from studyforge.errors import ConfigError
 from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.samplers import MAX_RESOLUTION, grid_enumerate
-from studyforge.study import Study
+from studyforge.study import SearchSpace, Study, uniform
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GRID_YAML = CONFIG_DIR.parent / "perfbench" / "configs" / "grid_sphere.yaml"
@@ -120,6 +122,23 @@ class TestParseConfig:
             parse_config("space:\n  x: {kind: uniform-float, low: 0, high: 1}\n")
         with pytest.raises(ConfigError, match="space"):
             parse_config("objective: quadratic-1d\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("space:\n  x: {kind: uniform-float, low: 0, high: 1}\n", "objective: missing required key"),
+            ("objective: quadratic-1d\n", "space: missing required key"),
+            (
+                "objective: quadratic-1d\nspace:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+                "data: {ratios: [0.7, 0.2, 0.1]}\n",
+                "data.manifest: missing required key",
+            ),
+        ],
+    )
+    def test_a_missing_required_key_fails_with_its_dot_path(self, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == message
 
     def test_epochs_must_be_positive(self):
         with pytest.raises(ConfigError, match="epochs"):
@@ -314,6 +333,57 @@ class TestParseConfig:
             )
 
 
+QUADRATIC_SPACE = "space:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+
+
+class TestBuiltConfig:
+    """A config built in code, or by ``dataclasses.replace``, is refused
+    with the text the parse of the same config gives. Bounds are probed by
+    building, never by running."""
+
+    @pytest.mark.parametrize(
+        "build, text, path",
+        [
+            (
+                lambda: ExperimentConfig(
+                    objective="quadratic-1d", space=SearchSpace({"x": uniform(0.0, 1.0)}), epochs=0
+                ),
+                "objective: quadratic-1d\nepochs: 0\n" + QUADRATIC_SPACE,
+                "epochs",
+            ),
+            (
+                lambda: ExperimentConfig(
+                    objective="surrogate", space=SearchSpace({"momentum": uniform(0.0, 1.0)})
+                ),
+                "objective: surrogate\nspace:\n  momentum: {kind: uniform-float, low: 0, high: 1}\n",
+                "space.momentum",
+            ),
+            (
+                lambda: ExperimentConfig(
+                    objective="quadratic-1d",
+                    space=SearchSpace({"x": uniform(0.0, 1.0)}),
+                    sampler=SamplerSpec(kind="grid", resolution=1),
+                ),
+                "objective: quadratic-1d\nsampler: {kind: grid, resolution: 1}\n" + QUADRATIC_SPACE,
+                "sampler.resolution",
+            ),
+            (
+                lambda: replace(parse_config((CONFIG_DIR / "default.yaml").read_text()), epochs=0),
+                (CONFIG_DIR / "default.yaml").read_text().replace("\nepochs: 20\n", "\nepochs: 0\n"),
+                "epochs",
+            ),
+        ],
+        ids=["epochs", "surrogate-space", "grid-resolution", "replace-epochs"],
+    )
+    def test_a_built_config_is_checked_like_a_parsed_one(self, build, text, path):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith(f"{path}: ")
+
+
 def another_value(value):
     """A different value that stays valid, for an int, float or unset field."""
     if value is None:
@@ -349,6 +419,30 @@ class TestRoundTrip:
         assert "data" not in raw
         assert "save_threshold" not in raw["policy"]
 
+    def test_serialized_key_paths_are_pinned(self, tmp_path):
+        """Every key path a config with each section serializes to, so a
+        walker that adds or drops a key changes this list."""
+        (tmp_path / "m.csv").write_text("m")
+        config = parse_config(
+            "objective: quadratic-1d\nspace:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+            f"pruner: {{}}\ndata: {{manifest: {json.dumps(str(tmp_path / 'm.csv'))}}}\n"
+        )
+
+        def paths(node, prefix=""):
+            for key, value in node.items():
+                path = f"{prefix}.{key}" if prefix else key
+                yield from paths(value, path) if isinstance(value, dict) else [path]
+
+        assert sorted(paths(serialize_config(config))) == [
+            "data.manifest", "data.ratios", "data.seed", "epochs", "objective", "output_dir",
+            "policy.max_parallel", "policy.n_trials", "pruner.min_completed",
+            "pruner.warmup_steps", "sampler.kind", "sampler.resolution",
+            "sampler.tpe.gamma_cap", "sampler.tpe.gamma_fraction", "sampler.tpe.n_candidates",
+            "sampler.tpe.n_startup_trials", "sampler.tpe.prior_weight", "seed",
+            "space.x.high", "space.x.kind", "space.x.low", "synthetic.image_side",
+            "synthetic.n_per_class", "synthetic.noise_std", "synthetic.seed", "task",
+        ]
+
     def test_every_section_field_enters_the_hash(self, tmp_path):
         manifests = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in manifests:
@@ -358,25 +452,29 @@ class TestRoundTrip:
             f"pruner: {{}}\ndata: {{manifest: {json.dumps(str(manifests[0]))}}}\n"
         )
         others = {
+            "objective": "sphere",
+            "task": "multiclass",
+            "output_dir": "runs/other",
             "sampler.kind": "random",
             "data.manifest": str(manifests[1]),
             "data.ratios": (0.6, 0.2, 0.2),
         }
         changed = []
-        for section in ("sampler", "sampler.tpe", "pruner", "policy", "synthetic", "data"):
+        for section in ("", "sampler", "sampler.tpe", "pruner", "policy", "synthetic", "data"):
             obj = config
-            for name in section.split("."):
+            for name in filter(None, section.split(".")):
                 obj = getattr(obj, name)
             for f in fields(obj):
-                key = f"{section}.{f.name}"
+                key = f"{section}.{f.name}" if section else f.name
                 value = getattr(obj, f.name)
-                if is_dataclass(value):
+                if is_dataclass(value) or isinstance(value, SearchSpace):
                     continue  # a section of its own
                 new = others[key] if key in others else another_value(value)
                 other = replace_at(config, key, new)
                 assert config_hash(other) != config_hash(config), key
                 assert parse_config(dump_config(other)) == other, key
                 changed.append(key)
+        assert {"objective", "seed", "task", "epochs", "output_dir"} <= set(changed)
         assert "policy.save_threshold" in changed and "synthetic.noise_std" in changed
 
 
@@ -729,6 +827,20 @@ class TestCliRun:
         monkeypatch.setenv("STUDYFORGE_SEED", "77")
         assert main(["run", str(config_path)]) == 0
         assert read_records(out / "journal.jsonl")[0]["seed"] == 77
+
+    def test_env_seed_wins_over_a_set_seed(self, tmp_path, monkeypatch):
+        config_path, out = write_quadratic_config(tmp_path)
+        monkeypatch.setenv("STUDYFORGE_SEED", "77")
+        assert main(["run", str(config_path), "--set", "seed=3"]) == 0
+        assert read_records(out / "journal.jsonl")[0]["seed"] == 77
+
+    @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "1.5")])
+    def test_a_bad_env_seed_fails_with_its_dot_path(self, tmp_path, monkeypatch, capsys, value, shown):
+        config_path, out = write_quadratic_config(tmp_path)
+        monkeypatch.setenv("STUDYFORGE_SEED", value)
+        assert main(["run", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: seed: expected an integer, got {shown}\n"
+        assert not out.exists()
 
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 1
