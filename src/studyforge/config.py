@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -44,8 +45,20 @@ SURROGATE_PARAMS = tuple(DEFAULT_HP)
 
 
 class YamlLoader(yaml.SafeLoader):
-    """SafeLoader that reads exponent floats by YAML 1.2 rules: YAML 1.1
-    leaves 1e-4 and 1.5e3 as strings (it wants a dot and a signed exponent)."""
+    """SafeLoader that refuses a mapping with a repeated key, where PyYAML
+    would keep the last value, and reads exponent floats by YAML 1.2 rules:
+    YAML 1.1 leaves 1e-4 and 1.5e3 as strings (it wants a dot and a signed
+    exponent)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            key = (key_node.tag, key_node.value) if isinstance(key_node, yaml.ScalarNode) else key_node
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise ConfigError(f"invalid YAML: duplicate key {key_node.value!r} at line {line}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 YamlLoader.add_implicit_resolver(
@@ -98,7 +111,13 @@ def _as_int(value, path):
 def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", path=path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the largest float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {number!r}", path=path)
+    return number
 
 
 def _as_str(value, path, allowed=None):

@@ -190,8 +190,10 @@ class Observations(list):
     complete trials at their final value, pruned trials at their last
     intermediate; failed and running trials carry nothing. ``values`` and
     one ``column(name)`` per parameter hold the same history as arrays (a
-    discrete parameter as its `_encode` index). They take in new pairs when
-    next read, so a replay that never asks never builds them.
+    discrete parameter as its `_encode` index), and ``log_column(name)``
+    holds a log-uniform parameter's ``math.log``, taken once per pair. They
+    take in new pairs when next read, so a replay that never asks never
+    builds them.
     """
 
     def __init__(self, space: SearchSpace):
@@ -202,10 +204,13 @@ class Observations(list):
         self._encoding = [
             (name, d.choices if d.is_discrete else None) for name, d in space.entries.items()
         ]
+        # the log-uniform parameters' logs, in the rows after the parameters'
+        logs = [name for name, d in space.entries.items() if d.is_log]
+        self._log_rows = {name: j for j, name in enumerate(logs, len(space) + 1)}
         self._ids: list[int] = []
-        # row 0 the values, row j the j-th parameter; one column per pair,
-        # of which the first _encoded are up to date
-        self._table = np.empty((len(space) + 1, 0))
+        # row 0 the values, row j the j-th parameter, then the logs; one
+        # column per pair, of which the first _encoded are up to date
+        self._table = np.empty((len(space) + len(logs) + 1, 0))
         self._encoded = 0
 
     @property
@@ -214,6 +219,9 @@ class Observations(list):
 
     def column(self, name: str) -> np.ndarray:
         return self._current()[self._rows[name]]
+
+    def log_column(self, name: str) -> np.ndarray:
+        return self._current()[self._log_rows[name]]
 
     def add(self, trial: TrialRecord, value: float, complete: bool) -> None:
         i = bisect.bisect(self._ids, trial.trial_id)
@@ -232,6 +240,7 @@ class Observations(list):
                 self._table = grown
             rows = [
                 [value, *(_encode(params[name], choices) for name, choices in self._encoding)]
+                + [math.log(params[name]) for name in self._log_rows]
                 for params, value in self[done:]
             ]
             self._table[:, done:n] = np.array(rows, dtype=float).T

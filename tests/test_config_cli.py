@@ -275,6 +275,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid YAML"):
             parse_config("objective: [unclosed\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # PyYAML alone keeps the last value: epochs == 3, without a word
+            ("epochs: 20\n{space}epochs: 3\n", "duplicate key 'epochs' at line 5"),
+            ('epochs: 20\n{space}"epochs": 3\n', "duplicate key 'epochs' at line 5"),
+            ("policy: {{n_trials: 3}}\n{space}policy: {{n_trials: 4}}\n", "duplicate key 'policy' at line 5"),
+            ("{space}policy:\n  n_trials: 3\n  n_trials: 4\n", "duplicate key 'n_trials' at line 6"),
+            ("space:\n  x: {{kind: uniform-float, low: 0, low: 1, high: 2}}\n", "duplicate key 'low' at line 3"),
+        ],
+    )
+    def test_duplicate_key_is_refused(self, text, message):
+        space = "space:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("objective: quadratic-1d\n" + text.format(space=space))
+        assert str(excinfo.value) == "invalid YAML: " + message
+
+    def test_a_space_bound_at_infinity_is_refused(self):
+        text = QUADRATIC_YAML.format(out="o").replace("high: 1.0", "high: .inf")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == "space.x.high: expected a finite number, got inf"
+
     def test_non_mapping_root_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("- a\n- b\n")
@@ -306,6 +329,17 @@ class TestParseConfig:
             ("sampler: {tpe: {bogus: 1}}", "sampler.tpe.bogus: unknown key"),
             ("sampler: {tpe: {gamma_fraction: 1.5}}", "sampler.tpe: gamma_fraction must be in (0, 1]"),
             ("sampler: {tpe: {n_startup_trials: 0}}", "sampler.tpe: TPE counts must be positive"),
+            # a NaN fails no comparison and an infinity meets >= 0, so the
+            # sections' own rules would let both through
+            ("synthetic: {noise_std: .nan}", "synthetic.noise_std: expected a finite number, got nan"),
+            ("synthetic: {noise_std: .inf}", "synthetic.noise_std: expected a finite number, got inf"),
+            ("sampler: {tpe: {prior_weight: .inf}}", "sampler.tpe.prior_weight: expected a finite number, got inf"),
+            ("policy: {save_threshold: .nan}", "policy.save_threshold: expected a finite number, got nan"),
+            ("policy: {stop_threshold: .nan}", "policy.stop_threshold: expected a finite number, got nan"),
+            ("policy: {stop_threshold: -.inf}", "policy.stop_threshold: expected a finite number, got -inf"),
+            # an int past the largest float converts to no finite number
+            ("synthetic: {noise_std: 1" + "0" * 400 + "}", "synthetic.noise_std: expected a finite number, got inf"),
+            ("policy: {n_trials: 3, n_trials: 4}", "invalid YAML: duplicate key 'n_trials' at line 4"),
             (
                 "data: {manifest: m.csv, ratios: [0.8, 0.2, 0.0]}",
                 "data.ratios: ratios must be three positive numbers",
@@ -852,6 +886,26 @@ class TestCliRun:
         assert main(["run", str(path)]) == 1
         assert "invalid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines, overrides",
+        [
+            # QUADRATIC_YAML already sets seed and policy
+            (["seed: 6"], []),
+            (["policy: {n_trials: 3}"], []),
+            ([], ["policy={n_trials: 3, n_trials: 4}"]),
+            (["synthetic: {noise_std: .nan}"], []),
+        ],
+    )
+    def test_a_refused_config_writes_no_journal(self, tmp_path, capsys, lines, overrides):
+        path, out = write_quadratic_config(tmp_path, extra_lines=lines)
+        argv = ["run", str(path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_config_error_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -1076,6 +1130,15 @@ class TestJournalPins:
                 ["epochs=1"],
                 "maximize",
                 "6ffd0a85028c8e48e69c0f33695e10ae9b7c3ea3f5ffc5698af34fdc32bd2028",
+            ),
+            # all 1,000 trials: bad sets of up to 975, where two candidates
+            # scoring within ~1e-12 would be the first to tell the ask's
+            # quadratic-form scorer from the reference (recorded before it)
+            (
+                "perfbench/configs/tpe_sphere.yaml",
+                [],
+                "minimize",
+                "68666b827c4b753d5df32ca0ad4ffbb2132ee675b0d09cded25608726898dc6e",
             ),
             # the first 300 of 10^4 grid cells (recorded while an ask still
             # built the whole product)

@@ -3,6 +3,8 @@ order trials are told in, and also when a journal rebuilds the study,
 `trial_observations` and `Study.best` must equal a scan of the trials in
 trial order."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -73,6 +75,9 @@ def assert_matches_scan(study):
     assert history.values.tolist() == [v for _, v in pairs]
     for name in study.space:
         assert history.column(name).tolist() == reference_column(study.space, name, pairs)
+        if study.space[name].is_log:
+            logs = [math.log(v) for v in reference_column(study.space, name, pairs)]
+            assert history.log_column(name).tolist() == logs
 
 
 @st.composite

@@ -16,7 +16,9 @@ from studyforge.samplers import (
     RandomSampler,
     TpeConfig,
     TpeSampler,
+    _BLOCK_FLOATS,
     _ERF_SATURATED,
+    _block_logpdf,
     _choice,
     fit_parzen,
     grid_enumerate,
@@ -668,6 +670,92 @@ class TestParzenRows:
         # against the libm of the platform that runs the suite
         assert math.erf(x) == 1.0
         assert math.erf(-x) == -1.0
+
+
+def _reindexing_sample(est, rng, size):
+    """A one-row parzen_sample whose every rejection round indexes the
+    round-one arrays again by what is pending: the draws the ask made
+    before its rounds shrank the arrays instead."""
+    idx = _choice(rng, est.weights, size)
+    mu, sigma = est.centers[idx], est.bandwidths[idx]
+    out, pending = np.empty(size), np.arange(size)
+    while pending.size:
+        draws = rng.normal(mu[pending], sigma[pending])
+        ok = (draws >= est.low) & (draws <= est.high)
+        out[pending[ok]] = draws[ok]
+        pending = pending[~ok]
+    return out
+
+
+# observations piled on a domain edge: half of each round's draws fall
+# outside, so parzen_sample rejects for several rounds
+_EDGE_ROWS = (np.array([[0.0] * 300, [1e6] * 300]), [0.0, 1e6], [1.0, 1e6 + 1e-6], [False, False])
+
+
+class TestBlockScorer:
+    """The ask scores by `_block_logpdf`'s quadratic form; parzen_logpdf,
+    in the scalar form's order, is the reference it is held to. The
+    tolerance is set from float64's 2.2e-16 and the form's |K2 u^2| <=
+    1,250, not from a measured error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        case=parzen_rows(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        points=st.sampled_from([1, 24, 100]),
+        block=st.sampled_from([1, 500, _BLOCK_FLOATS]),
+    )
+    # a domain offset to 1e6 and 1e-6 wide, with a cluster at the floor
+    @example(
+        case=(np.full((1, 300), 1e6 + 5e-7), [1e6], [1e6 + 1e-6], [False]),
+        seed=0,
+        points=24,
+        block=_BLOCK_FLOATS,
+    )
+    @example(case=_EDGE_ROWS, seed=1, points=24, block=_BLOCK_FLOATS)
+    def test_scores_match_the_reference(self, case, seed, points, block):
+        est = fit_parzen(*case)
+        rng = np.random.default_rng(seed)
+        xs = parzen_sample(est, rng, size=points)
+        # the domain's edges, where |u| is largest
+        xs[:, 0], xs[:, -1] = est.low, est.high
+        ref = parzen_logpdf(est, xs)
+        ours = _block_logpdf(est, xs, np.empty(block))
+        assert ours.shape == ref.shape and np.isfinite(ours).all()
+        assert (np.abs(ours - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref))).all()
+
+    def test_block_size_does_not_change_a_bit(self):
+        est = fit_parzen(*_EDGE_ROWS)
+        xs = parzen_sample(est, np.random.default_rng(0), size=24)
+        whole = _block_logpdf(est, xs, np.empty(_BLOCK_FLOATS))
+        # one row a block, grown from too small a block or of its exact size
+        for block in (1, 24 * 301):
+            assert _block_logpdf(est, xs, np.empty(block)).tobytes() == whole.tobytes()
+
+    def test_a_sampler_reuses_its_block(self, monkeypatch):
+        study = _seeded_history_study(n=30)
+        sampler, seen = TpeSampler(), []
+
+        def spy(est, x, block):
+            seen.append(block)
+            return _block_logpdf(est, x, block)
+
+        monkeypatch.setattr(samplers_mod, "_block_logpdf", spy)
+        for _ in range(3):
+            t = study.ask(sampler)
+            study.tell(t.trial_id, float(t.params["x"]))
+        assert len(seen) == 6 and all(block is sampler._block for block in seen)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=parzen_rows(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(case=_EDGE_ROWS, seed=0)
+    def test_draws_match_the_reindexing_loop(self, case, seed):
+        est = fit_parzen(*case)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for j in range(len(est.centers)):
+            drawn = parzen_sample(est[j], ours, size=24)
+            assert drawn.tobytes() == _reindexing_sample(est[j], theirs, 24).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _mixed_space():
