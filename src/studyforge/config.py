@@ -5,12 +5,14 @@ instead of silently falling back to defaults. The config's keys are the
 fields of its dataclasses: ``_parse_section`` walks them to parse every
 section and the root, and ``serialize_config`` walks them to write the
 config back, so a new field is a config key and enters ``config_hash``
-with no edit here. A field's metadata may name its parser. The root's own
-rules run when an ``ExperimentConfig`` is built, so a config built in code
-is checked like a parsed one. parse_config is pure text in, config out;
-the seed env override is applied by the CLI layer. The config's other
-facts live here too: the run policy, the objective's direction and
-``config_hash``, the config's identity.
+with no edit here. A field's metadata may name its parser and a check.
+The root's own rules run when an ``ExperimentConfig`` is built, so a config
+built in code is checked like a parsed one. A space is checked against its
+objective's inputs as ``surrogate`` declares them: ``HYPERPARAMETERS`` or
+``BENCHMARKS``. parse_config is pure text in, config out; the seed env
+override is applied by the CLI layer. The config's other facts live here
+too: the run policy, the objective's direction and ``config_hash``, the
+config's identity.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from .study import (
     UNIFORM,
     Distribution,
     SearchSpace,
+    check_seed,
 )
-from .surrogate import BENCHMARKS, DEFAULT_HP, SyntheticSpec
-
-SURROGATE_PARAMS = tuple(DEFAULT_HP)
+from .surrogate import BENCHMARKS, SyntheticSpec, check_arity, resolve_hp
 
 
 class YamlLoader(yaml.SafeLoader):
@@ -128,7 +129,7 @@ def _as_str(value, path, allowed=None):
     return value
 
 
-def _parse_distribution(name: str, node, path: str) -> Distribution:
+def _parse_distribution(node, path: str) -> Distribution:
     node = dict(_require_mapping(node, path))
     kind = _as_str(_take(node, "kind", path), _join(path, "kind"))
     try:
@@ -157,71 +158,34 @@ def parse_space(node, path: str = "space") -> SearchSpace:
     node = _require_mapping(node, path)
     if not node:
         raise ConfigError("space must define at least one parameter", path=path)
-    entries = {
-        name: _parse_distribution(name, sub, _join(path, name))
-        for name, sub in node.items()
-    }
-    return SearchSpace(entries)
+    return SearchSpace({name: _parse_distribution(sub, _join(path, name)) for name, sub in node.items()})
 
 
-def _check_surrogate_space(space: SearchSpace) -> None:
-    """Surrogate objectives only understand the fixed hyperparameter names,
-    and every value a sampler can draw (both ends of a range, each choice)
-    must suit the one it is drawn for."""
-    bounds = {
-        "dropout": (0.0, 0.2),
-        "scale": (0.0, 1.0),
-        "shear": (0.0, 1.0),
-        "translate": (0.0, 1.0),
-        "rotation": (0.0, 360.0),
-    }
-    for name, dist in space.entries.items():
-        path = _join("space", name)
-        if name not in SURROGATE_PARAMS:
-            raise ConfigError(
-                f"not a surrogate hyperparameter (expected one of {sorted(SURROGATE_PARAMS)})",
-                path=path,
-            )
-        if name == "batch_size":
-            if dist.kind not in (INT_CATEGORICAL, CHOICE):
-                raise ConfigError("batch_size must be categorical", path=path)
-            if any((not isinstance(c, int)) or c < 1 for c in dist.choices):
-                raise ConfigError("batch_size choices must be positive ints", path=path)
-        if isinstance(DEFAULT_HP[name], bool):
-            if not dist.is_discrete or any(type(c) is not bool for c in dist.choices):
-                raise ConfigError(f"{name} choices must be booleans", path=path)
-            continue
-        values = dist.choices if dist.is_discrete else (dist.low, dist.high)
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-            raise ConfigError(f"{name} choices must be numbers", path=path)
-        if name == "lr" and min(values) <= 0:
-            raise ConfigError("lr must be positive", path=path)
-        if name in bounds:
-            lo, hi = bounds[name]
-            if min(values) < lo or max(values) > hi:
-                raise ConfigError(
-                    f"bounds must stay within [{lo}, {hi}]", path=path
-                )
-        if name == "scale" and max(values) >= 1.0:
-            raise ConfigError("scale upper bound must be < 1", path=path)
-
-
-def _check_benchmark_space(objective: str, space: SearchSpace) -> None:
-    continuous = [n for n, d in space.entries.items() if not d.is_discrete]
-    if len(continuous) != len(space):
-        raise ConfigError("benchmark spaces must be continuous", path="space")
-    if objective == "quadratic-1d" and len(continuous) != 1:
-        raise ConfigError("quadratic-1d needs exactly one parameter", path="space")
-    if objective == "rosenbrock-2d" and len(continuous) != 2:
-        raise ConfigError("rosenbrock-2d needs exactly two parameters", path="space")
+def _check_space(objective: str, space: SearchSpace) -> None:
+    """A benchmark space is continuous, of its benchmark's arity. A surrogate
+    space draws only what ``resolve_hp`` takes: a choice, or a float in a range,
+    which a domain holding both ends as floats holds too."""
+    path = "space"
+    try:
+        if objective != "surrogate":
+            if any(d.is_discrete for d in space.entries.values()):
+                raise ValidationError("benchmark spaces must be continuous")
+            check_arity(objective, len(space))
+        else:
+            for name, dist in space.entries.items():
+                path = _join("space", name)
+                for value in dist.choices if dist.is_discrete else (float(dist.low), float(dist.high)):
+                    resolve_hp({name: value})
+    except ValidationError as exc:
+        raise ConfigError(str(exc), path=path) from None
 
 
 def _parse_section(node, path: str, cls):
     """Build dataclass ``cls`` from a mapping of its own fields. A field
     takes the parser its metadata names; otherwise an ``int`` field takes
     an integer, a ``str`` field a string (one of its metadata's
-    ``allowed``, if any) and any other field a number. A field without a
-    default is required."""
+    ``allowed``, if any) and any other field a number, then passes the check
+    its metadata may name. A field without a default is required."""
     node = dict(_require_mapping(node, path))
     kwargs = {}
     for f in fields(cls):
@@ -236,6 +200,11 @@ def _parse_section(node, path: str, cls):
             kwargs[f.name] = _as_str(value, key, f.metadata.get("allowed"))
         else:
             kwargs[f.name] = _as_float(value, key)
+        if "check" in f.metadata:
+            try:
+                f.metadata["check"](kwargs[f.name])
+            except ValidationError as exc:
+                raise ConfigError(str(exc), path=key) from None
     _reject_unknown(node, path)
     try:
         return cls(**kwargs)
@@ -264,7 +233,7 @@ def _parse_ratios(node, path: str) -> tuple:
 class DataConfig:
     manifest: str
     ratios: tuple = field(default=DEFAULT_RATIOS, metadata={"parse": _parse_ratios})
-    seed: int = 0
+    seed: int = field(default=0, metadata={"check": check_seed})
 
 
 @dataclass(frozen=True)
@@ -315,9 +284,9 @@ def direction_for_objective(objective: str) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    objective: str = field(metadata={"allowed": ("surrogate",) + BENCHMARKS})
+    objective: str = field(metadata={"allowed": ("surrogate", *BENCHMARKS)})
     space: SearchSpace = field(metadata={"parse": parse_space})
-    seed: int = 0
+    seed: int = field(default=0, metadata={"check": check_seed})
     task: str = field(default="binary", metadata={"allowed": tuple(TASK_CLASSES)})
     epochs: int = 20
     output_dir: str = "runs/study"
@@ -331,10 +300,7 @@ class ExperimentConfig:
         direction = self.direction
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1", path="epochs")
-        if self.objective == "surrogate":
-            _check_surrogate_space(self.space)
-        else:
-            _check_benchmark_space(self.objective, self.space)
+        _check_space(self.objective, self.space)
         if self.sampler.kind == "grid":
             # the rule the first ask applies, refused before a journal is written
             try:

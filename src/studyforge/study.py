@@ -254,14 +254,18 @@ def _encode(value, choices: tuple | None):
     return value if choices is None else choices.index(value)
 
 
+def check_seed(seed) -> None:
+    if type(seed) is not int or seed < 0 or seed >= 2**64:
+        raise ValidationError("seed must be a 64-bit unsigned integer")
+
+
 class Study:
     """One optimization campaign; single-writer, sequential trial ids."""
 
     def __init__(self, space: SearchSpace, direction: str, seed: int):
         if direction not in DIRECTIONS:
             raise ValidationError(f"direction must be one of {DIRECTIONS}")
-        if type(seed) is not int or seed < 0 or seed >= 2**64:
-            raise ValidationError("seed must be a 64-bit unsigned integer")
+        check_seed(seed)
         self.space = space
         self.direction = direction
         self.seed = seed

@@ -2,11 +2,12 @@
 
 A one-hidden-layer MLP with inverted dropout, trained by Adam on
 cross-entropy over synthetic oriented-grating images, stands in for the
-full-scale x-ray classifiers. Every searched hyperparameter (learning
-rate, dropout, batch size, augmentation magnitudes, flips) changes the
-training run, so the optimizer stack can be exercised end to end in
-seconds. Evaluation metrics (accuracy, confusion matrix, per-class F1)
-live here too.
+full-scale x-ray classifiers. Every hyperparameter in ``HYPERPARAMETERS``,
+the one table of their baselines and domains, which the config and
+``resolve_hp`` both ask, changes the training run, so the optimizer stack
+can be exercised end to end in seconds. ``BENCHMARKS`` holds each analytic
+benchmark's arity. Evaluation metrics (accuracy, confusion matrix,
+per-class F1) live here too.
 """
 
 from __future__ import annotations
@@ -19,21 +20,49 @@ import numpy as np
 from .augment import AffineRanges, affine_matrix, apply_affine, sample_affine_params
 from .errors import DivergenceError, ValidationError
 from .manifest import DEFAULT_RATIOS, stratified_split
+from .study import check_seed
 
-BENCHMARKS = ("sphere", "rosenbrock-2d", "quadratic-1d")
+# Each analytic benchmark's number of parameters; the sphere takes any number.
+BENCHMARKS = {"sphere": None, "rosenbrock-2d": 2, "quadratic-1d": 1}
+_COUNTS = {1: "one parameter", 2: "two parameters"}
+_NOUNS = {bool: "booleans", int: "integers", float: "numbers"}
 
-# Paper-baseline fallbacks for hyperparameters a config chooses not to search.
-DEFAULT_HP = {
-    "lr": 3e-4,
-    "dropout": 0.0,
-    "batch_size": 32,
-    "rotation": 0.0,
-    "scale": 0.0,
-    "shear": 0.0,
-    "translate": 0.0,
-    "hflip": False,
-    "vflip": False,
+
+@dataclass(frozen=True)
+class Hyperparameter:
+    """A baseline, which a config that does not search the hyperparameter
+    trains with, and a domain within the trainer's bounds: values of the
+    baseline's type (a bool is no number), positive or, given ``high``, in
+    [0, high] ([0, high) if ``open_high``). Only floats make an interval."""
+
+    baseline: bool | int | float
+    high: float | None = None
+    open_high: bool = False
+
+    def check(self, name: str, value) -> None:
+        kind = type(self.baseline)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (kind, int)):
+            raise ValidationError(f"{name} choices must be {_NOUNS[kind]}")
+        if kind is not bool and self.high is None and not value > 0:
+            raise ValidationError(f"{name} must be positive")
+        if self.high is not None and not 0 <= value <= self.high:
+            raise ValidationError(f"bounds must stay within [0.0, {self.high}]")
+        if self.open_high and value == self.high:
+            raise ValidationError(f"{name} upper bound must be < {self.high:g}")
+
+
+HYPERPARAMETERS = {
+    "lr": Hyperparameter(3e-4),
+    "dropout": Hyperparameter(0.0, high=0.2),
+    "batch_size": Hyperparameter(32),
+    "rotation": Hyperparameter(0.0, high=360.0),
+    "scale": Hyperparameter(0.0, high=1.0, open_high=True),
+    "shear": Hyperparameter(0.0, high=1.0),
+    "translate": Hyperparameter(0.0, high=1.0),
+    "hflip": Hyperparameter(False),
+    "vflip": Hyperparameter(False),
 }
+DEFAULT_HP = {name: hp.baseline for name, hp in HYPERPARAMETERS.items()}
 
 HIDDEN_DIM = 32
 
@@ -51,7 +80,7 @@ class SyntheticSpec:
     n_per_class: int = 60
     image_side: int = 16
     noise_std: float = 0.8
-    seed: int = 0
+    seed: int = field(default=0, metadata={"check": check_seed})
 
     def __post_init__(self):
         if self.n_per_class < 1:
@@ -399,13 +428,14 @@ def confusion_and_f1(
 
 
 def resolve_hp(params: dict) -> dict:
-    """Overlay searched values on the fixed-baseline hyperparameters."""
-    unknown = set(params) - set(DEFAULT_HP)
-    if unknown:
-        raise ValidationError(f"unknown surrogate hyperparameters {sorted(unknown)}")
-    hp = dict(DEFAULT_HP)
-    hp.update(params)
-    return hp
+    """Overlay searched values on the baselines; ``HYPERPARAMETERS`` must hold each."""
+    for name, value in params.items():
+        if name not in HYPERPARAMETERS:
+            raise ValidationError(
+                f"unknown surrogate hyperparameter {name!r} (expected one of {sorted(HYPERPARAMETERS)})"
+            )
+        HYPERPARAMETERS[name].check(name, value)
+    return {**DEFAULT_HP, **params}
 
 
 def _evaluate(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -428,10 +458,6 @@ def train_and_evaluate(
     the per-epoch curve plus confusion/F1 on the validation set.
     """
     hp = resolve_hp(params)
-    if hp["lr"] <= 0:
-        raise ValidationError("lr must be positive")
-    if not isinstance(hp["batch_size"], int) or hp["batch_size"] < 1:
-        raise ValidationError("batch_size must be a positive integer")
     if epochs < 0:
         raise ValidationError("epochs must be >= 0")
     if data.train_x.size == 0 or data.val_x.size == 0:
@@ -505,19 +531,22 @@ def train_and_evaluate(
 # --- analytic benchmarks ----------------------------------------------------
 
 
+def check_arity(name: str, n_params: int) -> None:
+    """Refuse an unknown benchmark, or a parameter count its arity refuses."""
+    if name not in BENCHMARKS:
+        raise ValidationError(f"unknown benchmark {name!r}")
+    if BENCHMARKS[name] not in (None, n_params):
+        raise ValidationError(f"{name} needs exactly {_COUNTS[BENCHMARKS[name]]}")
+
+
 def benchmark_objective(name: str, params: dict) -> float:
     """sphere: sum (x_i - 0.5)^2; quadratic-1d: (x - 0.3)^2 on [0, 1];
     rosenbrock-2d: (1-x)^2 + 100 (y - x^2)^2. All minimized at known points."""
+    check_arity(name, len(params))
     values = [float(v) for v in params.values()]
     if name == "sphere":
         return float(sum((v - 0.5) ** 2 for v in values))
     if name == "quadratic-1d":
-        if len(values) != 1:
-            raise ValidationError("quadratic-1d takes exactly one parameter")
         return float((values[0] - 0.3) ** 2)
-    if name == "rosenbrock-2d":
-        if len(values) != 2:
-            raise ValidationError("rosenbrock-2d takes exactly two parameters")
-        x, y = values
-        return float((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2)
-    raise ValidationError(f"unknown benchmark {name!r}")
+    x, y = values
+    return float((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -23,11 +24,12 @@ from studyforge.config import (
     parse_config,
     serialize_config,
 )
-from studyforge.errors import ConfigError
+from studyforge.errors import ConfigError, ValidationError
 from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.samplers import MAX_RESOLUTION, grid_enumerate
 from studyforge.study import SearchSpace, Study, uniform
+from studyforge.surrogate import HYPERPARAMETERS, resolve_hp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GRID_YAML = CONFIG_DIR.parent / "perfbench" / "configs" / "grid_sphere.yaml"
@@ -209,6 +211,34 @@ class TestParseConfig:
         )
         assert config.space["lr"].choices == (1.0e-4, 1.0e-3)
 
+    @pytest.mark.parametrize("name", sorted(HYPERPARAMETERS))
+    def test_the_config_refuses_a_choice_exactly_when_resolve_hp_refuses_it(self, name):
+        hp = HYPERPARAMETERS[name]
+        probes = [hp.baseline, True, False, "no", None, 0, 1, 2, -1]
+        if isinstance(hp.baseline, bool):
+            probes += [0.0, 1.0]
+        else:  # each bound, the value just past it, and the value just inside it
+            probes += [0.0, math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0)]
+        if hp.high is not None:
+            probes += [hp.high, math.nextafter(hp.high, math.inf), math.nextafter(hp.high, 0.0)]
+        if type(hp.baseline) is int:
+            probes += [float(hp.baseline), 16.5]
+        refused_by = {"parse_config": [], "resolve_hp": []}  # reprs, so False and 0 differ
+        for probe in probes:
+            try:
+                resolve_hp({name: probe})
+            except ValidationError:
+                refused_by["resolve_hp"].append(repr(probe))
+            try:
+                space = {name: {"kind": "choice", "choices": [probe]}}
+                config_from_mapping({"objective": "surrogate", "space": space})
+            except ConfigError as exc:
+                assert str(exc).startswith(f"space.{name}: ")
+                refused_by["parse_config"].append(repr(probe))
+        assert refused_by["parse_config"] == refused_by["resolve_hp"]
+        assert repr(hp.baseline) not in refused_by["resolve_hp"]
+        assert "'no'" in refused_by["resolve_hp"]
+
     def test_benchmark_arity_enforced(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(
@@ -344,6 +374,11 @@ class TestParseConfig:
                 "data: {manifest: m.csv, ratios: [0.8, 0.2, 0.0]}",
                 "data.ratios: ratios must be three positive numbers",
             ),
+            # every seed follows Study's rule, refused under its own path
+            ("seed: -1", "seed: seed must be a 64-bit unsigned integer"),
+            ("seed: 18446744073709551616", "seed: seed must be a 64-bit unsigned integer"),
+            ("synthetic: {seed: -1}", "synthetic.seed: seed must be a 64-bit unsigned integer"),
+            ("data: {manifest: m.csv, seed: -1}", "data.seed: seed must be a 64-bit unsigned integer"),
         ],
     )
     def test_section_error_text(self, section, message):
@@ -815,7 +850,7 @@ class TestCliRun:
         capsys.readouterr()
         assert main([*argv, "--set", "seed=-1"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: seed must be a 64-bit unsigned integer\n"
+        assert captured.err == "error: seed: seed must be a 64-bit unsigned integer\n"
         assert journal.read_bytes() == written
 
     @pytest.mark.parametrize("resolution", [1, 0])

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from studyforge import surrogate
+from studyforge.augment import AffineRanges
 from studyforge.errors import DivergenceError, ValidationError
 from studyforge.surrogate import (
     DEFAULT_HP,
+    HYPERPARAMETERS,
     AdamState,
     MlpModel,
     SyntheticSpec,
@@ -415,6 +417,25 @@ class TestResolveHp:
         with pytest.raises(ValidationError):
             resolve_hp({"momentum": 0.9})
 
+    def test_the_trainers_constructors_take_every_bound_the_table_admits(self):
+        envelopes = {
+            "rotation": "max_rotation_deg",
+            "scale": "max_scale_frac",
+            "shear": "max_shear_frac",
+            "translate": "max_translate_frac",
+        }
+        bounded = {name for name, hp in HYPERPARAMETERS.items() if hp.high is not None}
+        assert bounded == {*envelopes, "dropout"}
+        for name in sorted(bounded):
+            hp = HYPERPARAMETERS[name]
+            top = math.nextafter(hp.high, 0.0) if hp.open_high else hp.high
+            for value in (0, 0.0, top):
+                resolve_hp({name: value})
+                if name == "dropout":
+                    small_model(dropout=value)
+                else:
+                    AffineRanges(**{envelopes[name]: value})
+
 
 @pytest.fixture(scope="module")
 def default_split():
@@ -494,6 +515,22 @@ class TestTrainAndEvaluate:
             train_and_evaluate({"batch_size": 16.0}, default_split, epochs=1)
         with pytest.raises(ValidationError):
             train_and_evaluate({"lr": 1e-3}, default_split, epochs=-1)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"rotation": 400.0},
+        {"shear": 5.0},
+        {"hflip": "no"},
+        {"vflip": 2},
+        {"lr": True},
+        {"batch_size": True},
+    ],
+)
+def test_train_and_evaluate_refuses_what_the_config_refuses(params, default_split):
+    with pytest.raises(ValidationError):
+        train_and_evaluate(params, default_split, epochs=1)
 
 
 class TestBenchmarkObjective:
