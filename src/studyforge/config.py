@@ -5,9 +5,10 @@ instead of silently falling back to defaults. The config's keys are the
 fields of its dataclasses: ``_parse_section`` walks them to parse every
 section and the root, and ``serialize_config`` walks them to write the
 config back, so a new field is a config key and enters ``config_hash``
-with no edit here. A field's metadata may name its parser and a check.
-The root's own rules run when an ``ExperimentConfig`` is built, so a config
-built in code is checked like a parsed one. A space is checked against its
+with no edit here. A field's metadata may name its parser. Each section's
+own rules, the seeds' among them, run when it is built, so a config built
+in code is checked like a parsed one; a parse reports a rule's error under
+the field its ``key`` names. A space is checked against its
 objective's inputs as ``surrogate`` declares them: ``HYPERPARAMETERS`` or
 ``BENCHMARKS``. parse_config is pure text in, config out; the seed env
 override is applied by the CLI layer. The config's other facts live here
@@ -184,8 +185,8 @@ def _parse_section(node, path: str, cls):
     """Build dataclass ``cls`` from a mapping of its own fields. A field
     takes the parser its metadata names; otherwise an ``int`` field takes
     an integer, a ``str`` field a string (one of its metadata's
-    ``allowed``, if any) and any other field a number, then passes the check
-    its metadata may name. A field without a default is required."""
+    ``allowed``, if any) and any other field a number. A field without a
+    default is required."""
     node = dict(_require_mapping(node, path))
     kwargs = {}
     for f in fields(cls):
@@ -200,18 +201,14 @@ def _parse_section(node, path: str, cls):
             kwargs[f.name] = _as_str(value, key, f.metadata.get("allowed"))
         else:
             kwargs[f.name] = _as_float(value, key)
-        if "check" in f.metadata:
-            try:
-                f.metadata["check"](kwargs[f.name])
-            except ValidationError as exc:
-                raise ConfigError(str(exc), path=key) from None
     _reject_unknown(node, path)
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except Exception as exc:  # a rule of the section's own, under its path
-        raise ConfigError(str(exc), path=getattr(exc, "section", path)) from exc
+    except Exception as exc:  # a rule of the section's own, under its field's path
+        key = getattr(exc, "key", "")
+        raise ConfigError(str(exc), path=_join(path, key) if key else path) from exc
 
 
 def _section(cls) -> dict:
@@ -233,7 +230,10 @@ def _parse_ratios(node, path: str) -> tuple:
 class DataConfig:
     manifest: str
     ratios: tuple = field(default=DEFAULT_RATIOS, metadata={"parse": _parse_ratios})
-    seed: int = field(default=0, metadata={"check": check_seed})
+    seed: int = 0
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def direction_for_objective(objective: str) -> str:
 class ExperimentConfig:
     objective: str = field(metadata={"allowed": ("surrogate", *BENCHMARKS)})
     space: SearchSpace = field(metadata={"parse": parse_space})
-    seed: int = field(default=0, metadata={"check": check_seed})
+    seed: int = 0
     task: str = field(default="binary", metadata={"allowed": tuple(TASK_CLASSES)})
     epochs: int = 20
     output_dir: str = "runs/study"
@@ -297,6 +297,7 @@ class ExperimentConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec, metadata=_section(SyntheticSpec))
 
     def __post_init__(self):
+        check_seed(self.seed)
         direction = self.direction
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1", path="epochs")
@@ -310,7 +311,7 @@ class ExperimentConfig:
         try:
             self.policy.validate_for_direction(direction)
         except ValidationError as exc:
-            exc.section = "policy"  # a parse prefixes it; a built config keeps the bare text
+            exc.key = "policy"  # a parse prefixes it; a built config keeps the bare text
             raise
 
     @property

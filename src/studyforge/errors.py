@@ -6,7 +6,13 @@ class StudyForgeError(Exception):
 
 
 class ValidationError(StudyForgeError, ValueError):
-    """Invalid value, bound, or domain violation."""
+    """Invalid value, bound, or domain violation. ``key`` may name the field
+    at fault within the object whose rule raised it, so that a config parse
+    reports the error under that field's dot path."""
+
+    def __init__(self, message: str = "", key: str = ""):
+        super().__init__(message)
+        self.key = key
 
 
 class StateError(StudyForgeError):

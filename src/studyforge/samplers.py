@@ -66,12 +66,15 @@ class ParzenEstimator:
     [low, high]. The per-component arithmetic runs over whole arrays in the
     order a per-component scalar loop would use, so every float of a fit
     equals that loop's bit for bit; erf is math.erf, as numpy has no erf of
-    libm's bits. `parzen_logpdf` scores in that order too; `tpe_suggest`
-    scores by the quadratic form of `_block_logpdf`, within 1e-11 of it.
+    libm's bits. `parzen_logpdf` scores in that order too; the ask scores
+    by the quadratic form of `_block_logpdf`, within 1e-11 of it.
 
+    An estimator built directly checks its fields; `fit_parzen` checks its
+    inputs and sets the fields it derives without checking them again.
     With rows, the arrays are (d, k) and low, high and is_log hold one entry
     per row; ``est[j]`` is row j as a one-row estimator, a view that
-    recomputes nothing.
+    recomputes nothing. The ask and `parzen_sample` draw from the rows'
+    own arrays and build no such view.
     """
 
     centers: np.ndarray
@@ -97,21 +100,27 @@ class ParzenEstimator:
             raise ValidationError("weights must sum to 1")
         if (self.centers < low).any() or (self.centers > high).any():
             raise ValidationError("centers must lie within the domain")
-        # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) at beta (first k) and alpha
-        c, b, k = self.centers, self.bandwidths, self.centers.shape[-1]
-        x = np.concatenate(((high - c) / b, (low - c) / b), axis=-1) / _SQRT2
-        # only the unsaturated arguments need the per-element call
-        erf = np.sign(x)
-        live = np.abs(x) < _ERF_SATURATED
-        erf[live] = np.fromiter(map(math.erf, x[live].tolist()), float)
-        cdf = 0.5 * (1.0 + erf)
-        self._log_trunc_mass = np.log(cdf[..., :k] - cdf[..., k:])
-        self._log_scale = np.log(self.weights) - np.log(b) - _LOG_SQRT_2PI
+        self._log_trunc_mass = _log_trunc_mass_of(self.centers, self.bandwidths, low, high)
+        self._log_scale = np.log(self.weights) - np.log(self.bandwidths) - _LOG_SQRT_2PI
 
     def __getitem__(self, j: int) -> "ParzenEstimator":
         row = object.__new__(ParzenEstimator)
         row.__dict__ = {name: value[j] for name, value in vars(self).items()}
         return row
+
+
+def _log_trunc_mass_of(centers, bandwidths, low, high) -> np.ndarray:
+    """log(Phi(beta) - Phi(alpha)) per component, with Phi(x) = 0.5 * (1 +
+    erf(x / sqrt 2)) at beta = (high - c) / b and alpha = (low - c) / b."""
+    k = centers.shape[-1]
+    x = np.concatenate(((high - centers) / bandwidths, (low - centers) / bandwidths), axis=-1)
+    x /= _SQRT2
+    # only the unsaturated arguments need the per-element call
+    erf = np.sign(x)
+    live = np.abs(x) < _ERF_SATURATED
+    erf[live] = np.fromiter(map(math.erf, x[live].tolist()), float)
+    cdf = 0.5 * (1.0 + erf)
+    return np.log(cdf[..., :k] - cdf[..., k:])
 
 
 def fit_parzen(
@@ -134,7 +143,11 @@ def fit_parzen(
 
     ``values`` of shape (d, n), with one low, high and is_log per row,
     fits d mixtures at once as the rows of one estimator; each row's
-    floats equal those of its own 1-D fit.
+    floats equal those of its own 1-D fit, and those of a
+    `ParzenEstimator` built from the same fields. The inputs are checked;
+    what is built from them is not checked again, and each row's
+    ``_log_scale`` takes one log of the shared weight and one of each of
+    its two bandwidths.
     """
     one_row = np.ndim(values) < 2
     # C order, so each row is contiguous like the 1-D call's values
@@ -157,21 +170,26 @@ def fit_parzen(
         low[j], high[j] = math.log(low[j]), math.log(high[j])
 
     width = high - low
-    centers = np.concatenate(((low + width / 2.0)[:, None], values), axis=1)
-    bandwidths = np.repeat(width[:, None], n + 1, axis=1)
+    # each row's three distinct factors: the shared weight, the prior's
+    # bandwidth (the width) and the observations' bandwidth
+    factors = np.stack((np.full(rows, 1.0 / (n + 1)), width, width), axis=1)
     if n == 1:
-        bandwidths[:, 1:] = (width / 2.0)[:, None]
+        factors[:, 2] = width / 2.0
     elif n > 1:
         scott = 1.06 * np.std(values, axis=1, ddof=1) * n ** (-0.2)
-        bandwidths[:, 1:] = np.maximum(scott, width / min(100.0, n + 1.0))[:, None]
-    est = ParzenEstimator(
-        centers=centers,
-        bandwidths=bandwidths,
-        weights=np.full((rows, n + 1), 1.0 / (n + 1)),
-        low=low,
-        high=high,
-        is_log=is_log,
-    )
+        factors[:, 2] = np.maximum(scott, width / min(100.0, n + 1.0))
+    per_component = [1, n]
+    logs = np.log(factors)
+    est = object.__new__(ParzenEstimator)
+    est.centers = np.concatenate(((low + width / 2.0)[:, None], values), axis=1)
+    est.bandwidths = np.repeat(factors[:, 1:], per_component, axis=1)
+    est.weights = np.full((rows, n + 1), 1.0 / (n + 1))
+    est.low, est.high, est.is_log = low, high, is_log
+    bounds = low[:, None], high[:, None]
+    est._log_trunc_mass = _log_trunc_mass_of(est.centers, est.bandwidths, *bounds)
+    scale = logs[:, :1] - logs[:, 1:]
+    scale -= _LOG_SQRT_2PI
+    est._log_scale = np.repeat(scale, per_component, axis=1)
     return est[0] if one_row else est
 
 
@@ -245,33 +263,53 @@ def _block_logpdf(est: ParzenEstimator, x: np.ndarray, block: np.ndarray | None)
 
 def parzen_sample(est: ParzenEstimator, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draw from the mixture by component choice + in-domain rejection;
-    from an estimator with rows, ``size`` draws per row, row after row."""
-    if est.centers.ndim == 2:
-        return np.array([parzen_sample(est[j], rng, size) for j in range(len(est.centers))])
-    idx = _choice(rng, est.weights, size)
-    mu, sigma = est.centers[idx], est.bandwidths[idx]
-    low, high = float(est.low), float(est.high)
-    out = np.empty(size)
-    pending = np.arange(size)
-    # acceptance mass per component is >= ~0.38, so a few rounds suffice
-    for _ in range(1000):
-        draws = rng.normal(mu, sigma)
-        ok = (draws >= low) & (draws <= high)
-        out[pending[ok]] = draws[ok]
-        miss = ~ok
-        pending, mu, sigma = pending[miss], mu[miss], sigma[miss]
+    from an estimator with rows, ``size`` draws per row, row after row.
+    Each row draws by `_draw_row` from the estimator's own arrays."""
+    cdf, c, b = _cdf(est.weights), est.centers, est.bandwidths
+    if c.ndim == 1:
+        return _draw_row(rng, cdf, c, b, float(est.low), float(est.high), np.empty(size))
+    out = np.empty((len(c), size))
+    bounds = zip(np.asarray(est.low, float).tolist(), np.asarray(est.high, float).tolist())
+    for j, (low, high) in enumerate(bounds):
+        _draw_row(rng, cdf[j], c[j], b[j], low, high, out[j])
+    return out
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """Each row's normalized cumulative weights, as `_choice` builds them."""
+    cdf = weights.cumsum(axis=-1)
+    cdf /= cdf[..., -1:].copy()
+    return cdf
+
+
+def _draw_row(rng, cdf, centers, bandwidths, low: float, high: float, out: np.ndarray):
+    """Fill ``out`` with draws from one mixture row: components by ``cdf``
+    as `_choice` draws them, then normals, drawn again for the slots that
+    fell outside [low, high] until none does. A normal is ``mu + sigma *
+    standard_normal``, the arithmetic and the draws of ``rng.normal(mu,
+    sigma)``, so the draws and the generator state are that call's."""
+    idx = cdf.searchsorted(rng.random(out.size), side="right")
+    mu, sigma = centers[idx], bandwidths[idx]
+    out[:] = mu + sigma * rng.standard_normal(out.size)
+    pending = ((out < low) | (out > high)).nonzero()[0]
+    # acceptance mass per component is >= ~0.38, so a few rounds suffice;
+    # the draw above was the first of at most 1000
+    for _ in range(999):
         if pending.size == 0:
-            return out
-    raise RuntimeError("truncated-normal rejection failed to converge")
+            break
+        draws = mu[pending] + sigma[pending] * rng.standard_normal(pending.size)
+        out[pending] = draws
+        pending = pending[(draws < low) | (draws > high)]
+    if pending.size:
+        raise RuntimeError("truncated-normal rejection failed to converge")
+    return out
 
 
 def _choice(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
     """``rng.choice(len(p), size, p=p)`` by that call's own arithmetic and
     draws, without its re-validation of ``p``: the same indices and the
     same generator state afterwards."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return _cdf(p).searchsorted(rng.random(size), side="right")
 
 
 def ask_rng(study: Study, rng: np.random.Generator | None = None) -> np.random.Generator:
@@ -390,53 +428,10 @@ def tpe_suggest(
     study: Study,
     cfg: TpeConfig = TpeConfig(),
     rng: np.random.Generator | None = None,
-    block: np.ndarray | None = None,
 ) -> dict:
     """Propose one assignment; random until enough complete trials exist.
-    ``block`` is the scorer's scratch, which a `TpeSampler` reuses."""
-    rng = ask_rng(study, rng)
-    history = trial_observations(study)
-    if history.n_complete < cfg.n_startup_trials:
-        return suggest_random(study.space, rng)
-
-    good = tpe_split_observations(history.values, study.direction, cfg)
-    bad = ~good
-    entries = study.space.entries
-    # every continuous parameter is a row of one good fit and one bad fit
-    continuous = [(name, dist) for name, dist in entries.items() if not dist.is_discrete]
-    if continuous:
-        # rows in the fit's coordinate: a log-uniform parameter as the logs
-        # the history keeps, with logged bounds, so no fit takes a log
-        columns = np.array(
-            [history.log_column(n) if d.is_log else history.column(n) for n, d in continuous]
-        )
-        lows = [math.log(d.low) if d.is_log else d.low for _, d in continuous]
-        highs = [math.log(d.high) if d.is_log else d.high for _, d in continuous]
-        linear = [False] * len(continuous)
-        l_est = fit_parzen(columns[:, good], lows, highs, linear, cfg)
-        g_est = fit_parzen(columns[:, bad], lows, highs, linear, cfg)
-    # draws in space order, continuous rows interleaved with discrete choices
-    params = dict.fromkeys(entries)
-    cands = []
-    for name, dist in entries.items():
-        if dist.is_discrete:
-            column = history.column(name)
-            w_good = _categorical_weights(column[good], len(dist.choices), cfg.prior_weight)
-            w_bad = _categorical_weights(column[bad], len(dist.choices), cfg.prior_weight)
-            cand_idx = _choice(rng, w_good, cfg.n_candidates)
-            scores = np.log(w_good[cand_idx]) - np.log(w_bad[cand_idx])
-            params[name] = dist.choices[int(cand_idx[int(np.argmax(scores))])]
-        else:
-            cands.append(parzen_sample(l_est[len(cands)], rng, size=cfg.n_candidates))
-    if continuous:
-        cand = np.array(cands)
-        scores = _block_logpdf(l_est, cand, block) - _block_logpdf(g_est, cand, block)
-        for (name, dist), row, score in zip(continuous, cand, scores):
-            best = float(row[int(np.argmax(score))])
-            if dist.is_log:
-                best = math.exp(best)
-            params[name] = min(max(best, dist.low), dist.high)
-    return params
+    One ask of a new `TpeSampler`, which keeps nothing from an earlier ask."""
+    return TpeSampler(cfg).suggest(study, rng)
 
 
 class RandomSampler:
@@ -462,15 +457,84 @@ class GridSampler:
         return cells[index]
 
 
+class _SpaceRows:
+    """The space's facts an ask reads, taken once per study: each entry in
+    space order with its continuous row (None if discrete), and each
+    continuous row's name, log flag and bounds in the fit's coordinate (a
+    log-uniform parameter's logged bounds, as the history keeps its logs)."""
+
+    def __init__(self, space: SearchSpace):
+        continuous = [(name, d) for name, d in space.entries.items() if not d.is_discrete]
+        rows = {name: j for j, (name, _) in enumerate(continuous)}
+        self.entries = [(name, d, rows.get(name)) for name, d in space.entries.items()]
+        self.continuous = continuous
+        self.low = [math.log(d.low) if d.is_log else d.low for _, d in continuous]
+        self.high = [math.log(d.high) if d.is_log else d.high for _, d in continuous]
+        # the history's rows are already in the fit's coordinate
+        self.linear = [False] * len(continuous)
+
+
 class TpeSampler:
-    """TPE asks, one at a time, sharing one block that stays paged in."""
+    """TPE asks, one at a time. Between asks it keeps what the next ask
+    would otherwise build again: the scorer's block, which stays paged in;
+    the space's rows, once per history; and the good set's fit with its
+    cdf, reused while the good set's trial ids, in the same history, hold.
+    Each ask's draws and result equal those of an ask that kept nothing."""
 
     def __init__(self, cfg: TpeConfig = TpeConfig()):
         self.cfg = cfg
         self._block = np.empty(_BLOCK_FLOATS)
+        self._history: Observations | None = None  # whose rows and fit are kept
+        self._rows: _SpaceRows | None = None
+        self._good: tuple | None = None  # (good trial ids, their fit, its cdf)
 
     def suggest(self, study: Study, rng: np.random.Generator | None = None) -> dict:
-        return tpe_suggest(study, self.cfg, rng, self._block)
+        cfg = self.cfg
+        rng = ask_rng(study, rng)
+        history = trial_observations(study)
+        if history.n_complete < cfg.n_startup_trials:
+            return suggest_random(study.space, rng)
+        if history is not self._history:
+            self._history, self._rows, self._good = history, _SpaceRows(study.space), None
+        rows = self._rows
+        good = tpe_split_observations(history.values, study.direction, cfg)
+        bad = ~good
+        # every continuous parameter is a row of one good fit and one bad fit
+        if rows.continuous:
+            # a log-uniform parameter's row is the logs the history keeps
+            columns = np.array(
+                [history.log_column(n) if d.is_log else history.column(n) for n, d in rows.continuous]
+            )
+            ids = history.trial_ids(good.nonzero()[0].tolist())
+            if self._good is None or self._good[0] != ids:
+                l_est = fit_parzen(columns[:, good], rows.low, rows.high, rows.linear, cfg)
+                self._good = (ids, l_est, _cdf(l_est.weights))
+            _, l_est, cdf = self._good
+            g_est = fit_parzen(columns[:, bad], rows.low, rows.high, rows.linear, cfg)
+            cand = np.empty((len(rows.continuous), cfg.n_candidates))
+        # draws in space order, continuous rows interleaved with discrete choices
+        params = {}
+        for name, dist, j in rows.entries:
+            if j is None:
+                column = history.column(name)
+                w_good = _categorical_weights(column[good], len(dist.choices), cfg.prior_weight)
+                w_bad = _categorical_weights(column[bad], len(dist.choices), cfg.prior_weight)
+                cand_idx = _choice(rng, w_good, cfg.n_candidates)
+                scores = np.log(w_good[cand_idx]) - np.log(w_bad[cand_idx])
+                params[name] = dist.choices[int(cand_idx[int(np.argmax(scores))])]
+            else:
+                params[name] = None  # its key in space order; the value once scored
+                low, high = rows.low[j], rows.high[j]
+                _draw_row(rng, cdf[j], l_est.centers[j], l_est.bandwidths[j], low, high, cand[j])
+        if rows.continuous:
+            block = self._block
+            scores = _block_logpdf(l_est, cand, block) - _block_logpdf(g_est, cand, block)
+            best = cand[np.arange(len(cand)), np.argmax(scores, axis=1)].tolist()
+            for (name, dist), value in zip(rows.continuous, best):
+                if dist.is_log:
+                    value = math.exp(value)
+                params[name] = min(max(value, dist.low), dist.high)
+        return params
 
 
 def make_sampler(kind: str, *, tpe_config: TpeConfig | None = None, resolution: int = 5):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -40,7 +41,8 @@ _DISCRETE_KINDS = (INT_CATEGORICAL, CHOICE, BOOLEAN)
 class Distribution:
     """One hyperparameter's search domain.
 
-    Continuous kinds use [low, high] inclusive bounds; discrete kinds use
+    Continuous kinds use [low, high] inclusive bounds, which are numbers
+    and not bools; discrete kinds use
     an ordered, duplicate-free tuple of choices. Booleans are the fixed
     two-element choice (False, True).
     """
@@ -54,6 +56,9 @@ class Distribution:
         if self.kind not in _CONTINUOUS_KINDS + _DISCRETE_KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
         if self.kind in _CONTINUOUS_KINDS:
+            for bound in (self.low, self.high):
+                if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                    raise ValidationError(f"bounds must be numbers, got {bound!r}")
             if not (math.isfinite(self.low) and math.isfinite(self.high)):
                 raise ValidationError("bounds must be finite")
             if not self.low < self.high:
@@ -223,6 +228,10 @@ class Observations(list):
     def log_column(self, name: str) -> np.ndarray:
         return self._current()[self._log_rows[name]]
 
+    def trial_ids(self, positions: Iterable[int]) -> tuple[int, ...]:
+        """The trial ids of the pairs at these positions."""
+        return tuple(self._ids[i] for i in positions)
+
     def add(self, trial: TrialRecord, value: float, complete: bool) -> None:
         i = bisect.bisect(self._ids, trial.trial_id)
         self._ids.insert(i, trial.trial_id)
@@ -256,7 +265,7 @@ def _encode(value, choices: tuple | None):
 
 def check_seed(seed) -> None:
     if type(seed) is not int or seed < 0 or seed >= 2**64:
-        raise ValidationError("seed must be a 64-bit unsigned integer")
+        raise ValidationError("seed must be a 64-bit unsigned integer", key="seed")
 
 
 class Study:

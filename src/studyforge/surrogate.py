@@ -80,9 +80,10 @@ class SyntheticSpec:
     n_per_class: int = 60
     image_side: int = 16
     noise_std: float = 0.8
-    seed: int = field(default=0, metadata={"check": check_seed})
+    seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_per_class < 1:
             raise ValidationError("n_per_class must be >= 1")
         if self.image_side < 2:

@@ -15,6 +15,7 @@ import studyforge.reporting as reporting_mod
 import studyforge.samplers as samplers_mod
 from studyforge.cli import main
 from studyforge.config import (
+    DataConfig,
     ExperimentConfig,
     SamplerSpec,
     apply_overrides,
@@ -29,7 +30,7 @@ from studyforge.journal import Journal, read_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.samplers import MAX_RESOLUTION, grid_enumerate
 from studyforge.study import SearchSpace, Study, uniform
-from studyforge.surrogate import HYPERPARAMETERS, resolve_hp
+from studyforge.surrogate import HYPERPARAMETERS, SyntheticSpec, resolve_hp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GRID_YAML = CONFIG_DIR.parent / "perfbench" / "configs" / "grid_sphere.yaml"
@@ -403,6 +404,7 @@ class TestParseConfig:
 
 
 QUADRATIC_SPACE = "space:\n  x: {kind: uniform-float, low: 0, high: 1}\n"
+QUADRATIC = SearchSpace({"x": uniform(0.0, 1.0)})
 
 
 class TestBuiltConfig:
@@ -451,6 +453,35 @@ class TestBuiltConfig:
             build()
         assert str(built.value) == str(parsed.value)
         assert str(built.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0], ids=["negative", "2^64", "bool", "float"])
+    @pytest.mark.parametrize(
+        "build, section, path",
+        [
+            (
+                lambda seed: ExperimentConfig(objective="quadratic-1d", space=QUADRATIC, seed=seed),
+                "seed: {}",
+                "seed",
+            ),
+            (lambda seed: SyntheticSpec(seed=seed), "synthetic: {{seed: {}}}", "synthetic.seed"),
+            (
+                lambda seed: DataConfig(manifest="m.csv", seed=seed),
+                "data: {{manifest: m.csv, seed: {}}}",
+                "data.seed",
+            ),
+        ],
+        ids=["seed", "synthetic.seed", "data.seed"],
+    )
+    def test_every_seed_built_in_code_follows_studys_rule(self, build, section, path, seed):
+        # built, the section refuses the seed itself; parsed, the error
+        # keeps the field's dot path (a non-int is refused by its type first)
+        with pytest.raises(ValidationError, match="^seed must be a 64-bit unsigned integer$"):
+            build(seed)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config("objective: quadratic-1d\n" + QUADRATIC_SPACE + section.format(seed) + "\n")
+        assert str(parsed.value).startswith(f"{path}: ")
+        build(0)
+        build(2**64 - 1)
 
 
 def another_value(value):

@@ -19,6 +19,7 @@ from studyforge.samplers import (
     _BLOCK_FLOATS,
     _ERF_SATURATED,
     _block_logpdf,
+    _categorical_weights,
     _choice,
     fit_parzen,
     grid_enumerate,
@@ -853,3 +854,201 @@ class TestComponentChoice:
             idx = theirs.choice(len(est.weights), size=24, p=est.weights)
             assert _choice(ours, est.weights, 24).tolist() == idx.tolist()
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _reference_ask(study, cfg, rng):
+    """The ask as composed before a sampler kept anything between asks:
+    both fits every ask (a log-uniform row by `fit_parzen`'s own log), each
+    continuous row's draws by `_reindexing_sample` from a one-row view, in
+    space order among the discrete choices, then `_block_logpdf` over both
+    fits."""
+    history = trial_observations(study)
+    if history.n_complete < cfg.n_startup_trials:
+        return suggest_random(study.space, rng)
+    good = tpe_split_observations(history.values, study.direction, cfg)
+    entries = study.space.entries
+    continuous = [(name, d) for name, d in entries.items() if not d.is_discrete]
+    if continuous:
+        columns = np.array([history.column(name) for name, _ in continuous])
+        bounds = [[d.low for _, d in continuous], [d.high for _, d in continuous]]
+        logs = [d.is_log for _, d in continuous]
+        l_est = fit_parzen(columns[:, good], *bounds, logs)
+        g_est = fit_parzen(columns[:, ~good], *bounds, logs)
+    params, cands = dict.fromkeys(entries), []
+    for name, dist in entries.items():
+        if dist.is_discrete:
+            column = history.column(name)
+            w_good = _categorical_weights(column[good], len(dist.choices), cfg.prior_weight)
+            w_bad = _categorical_weights(column[~good], len(dist.choices), cfg.prior_weight)
+            idx = _choice(rng, w_good, cfg.n_candidates)
+            scores = np.log(w_good[idx]) - np.log(w_bad[idx])
+            params[name] = dist.choices[int(idx[int(np.argmax(scores))])]
+        else:
+            cands.append(_reindexing_sample(l_est[len(cands)], rng, cfg.n_candidates))
+    if continuous:
+        cand = np.array(cands)
+        scores = _block_logpdf(l_est, cand, None) - _block_logpdf(g_est, cand, None)
+        for (name, dist), row, score in zip(continuous, cand, scores):
+            best = float(row[int(np.argmax(score))])
+            params[name] = min(max(math.exp(best) if dist.is_log else best, dist.low), dist.high)
+    return params
+
+
+def _space_of(kinds, rng):
+    """Entries of these kinds in this order, with bounds drawn from rng."""
+    entries = {}
+    for i, kind in enumerate(kinds):
+        if kind == "uniform":
+            low = float(rng.uniform(-100.0, 100.0))
+            entries[f"p{i}"] = uniform(low, low + float(10.0 ** rng.uniform(-3, 2)))
+        elif kind == "log":
+            low = float(10.0 ** rng.uniform(-6, 0))
+            entries[f"p{i}"] = log_uniform(low, low * float(10.0 ** rng.uniform(0.2, 4)))
+        elif kind == "int":
+            entries[f"p{i}"] = int_categorical([8, 16, 32, 64][: 2 + int(rng.integers(3))])
+        elif kind == "choice":
+            entries[f"p{i}"] = choice(["relu", "tanh", "gelu"])
+        else:
+            entries[f"p{i}"] = boolean()
+    return SearchSpace(entries)
+
+
+def _end(study, trial, rng, value):
+    """Tell the trial: complete at value, pruned (with or without an
+    intermediate) or failed."""
+    kind = int(rng.integers(6))
+    if kind == 0:
+        study.tell(trial.trial_id, state=TrialState.FAILED)
+    elif kind == 1:
+        if rng.integers(2):
+            study.report_intermediate(trial.trial_id, 0, value)
+        study.tell(trial.trial_id, state=TrialState.PRUNED)
+    else:
+        study.tell(trial.trial_id, value)
+
+
+class TestKeptAsk:
+    """A `TpeSampler` keeps the space's rows and the good set's fit between
+    asks; every ask must still equal an ask that kept nothing, draw for
+    draw, and a kept fit must never outlive its good set."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(["uniform", "log", "int", "choice", "bool"]), min_size=1, max_size=6),
+        direction=st.sampled_from([MINIMIZE, MAXIMIZE]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_start=st.integers(min_value=0, max_value=40),
+        asks=st.integers(min_value=2, max_value=10),
+        gamma_cap=st.integers(min_value=1, max_value=6),
+    )
+    def test_asks_in_a_row_equal_asks_that_keep_nothing(self, kinds, direction, seed, n_start, asks, gamma_cap):
+        rng = np.random.default_rng(seed)
+        study = make_study(_space_of(kinds, rng), direction=direction, seed=seed % 97)
+        cfg = TpeConfig(n_startup_trials=1 + seed % 5, n_candidates=1 + seed % 30, gamma_cap=gamma_cap)
+        running = []
+        for _ in range(n_start):
+            running.append(running_trial(study, suggest_random(study.space, rng)))
+            # about a third are told later, out of trial order
+            if rng.uniform() < 0.7:
+                _end(study, running.pop(), rng, float(rng.normal()))
+        sampler, sign = TpeSampler(cfg), 1.0 if direction == MAXIMIZE else -1.0
+        for step in range(asks):
+            ours, theirs = np.random.default_rng([seed, step]), np.random.default_rng([seed, step])
+            params = sampler.suggest(study, ours)
+            assert repr(params) == repr(_reference_ask(study, cfg, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            trial = running_trial(study, params)
+            values = trial_observations(study).values
+            action = int(rng.integers(5))
+            if action == 0:  # left running: the same history asks again
+                running.append(trial)
+            elif action in (1, 2) and values.size:  # a new best, or a new worst
+                far = float(np.abs(values).max()) + 1.0
+                study.tell(trial.trial_id, sign * far if action == 1 else -sign * far)
+            elif action == 3 and running:  # an earlier trial told out of order
+                _end(study, running.pop(int(rng.integers(len(running)))), rng, float(rng.normal()))
+                running.append(trial)
+            else:
+                _end(study, trial, rng, float(rng.normal()))
+
+    def _counted(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return fit_parzen(*args, **kwargs)
+
+        monkeypatch.setattr(samplers_mod, "fit_parzen", spy)
+        return calls
+
+    def _ask(self, sampler, study, step):
+        ours, theirs = np.random.default_rng(step), np.random.default_rng(step)
+        params = sampler.suggest(study, ours)
+        assert repr(params) == repr(_reference_ask(study, sampler.cfg, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_a_tell_that_changes_the_good_set_refits(self, monkeypatch):
+        study, cfg = _seeded_history_study(n=20), TpeConfig(gamma_cap=3)
+        sampler, calls = TpeSampler(cfg), self._counted(monkeypatch)
+        fits = []
+        for step, value in enumerate([None, None, 2.0, -1.0, 3.0, -2.0]):
+            if value is not None:  # every value is in [0, 1); 2 and 3 are worst, -1 and -2 best
+                complete_trial(study, {"x": 0.5, "batch": 8}, value)
+            self._ask(sampler, study, step)
+            fits.append(len(calls))
+        # the first ask fits both sets; then only the bad set, unless a new
+        # best joined the good set
+        assert np.diff([0, *fits]).tolist() == [2, 1, 1, 2, 1, 2]
+
+    def test_an_out_of_order_tell_keys_on_trial_ids_not_positions(self, monkeypatch):
+        space = SearchSpace({"x": uniform(0.0, 1.0)})
+        study = make_study(space, direction=MINIMIZE)
+        for i in range(20):
+            complete_trial(study, {"x": i / 20}, {3: 0.1, 7: 0.2}.get(i, 0.5 + i / 100))
+        late = [running_trial(study, {"x": x}) for x in (0.33, 0.66)]
+        complete_trial(study, {"x": 0.99}, 0.3)
+        sampler, calls = TpeSampler(TpeConfig(gamma_cap=3)), self._counted(monkeypatch)
+        # good ids 3, 7 and 22, at positions 3, 7 and 20
+        self._ask(sampler, study, 0)
+        # a worst value told for trial 20 moves trial 22 to position 21 but
+        # keeps the good ids: the kept fit holds
+        study.tell(late[0].trial_id, 5.0)
+        self._ask(sampler, study, 1)
+        # trial 21 beats trial 22: good ids 3, 7 and 21, at the positions
+        # the good set held before, so only the ids tell the fit is stale
+        study.tell(late[1].trial_id, 0.25)
+        self._ask(sampler, study, 2)
+        assert len(calls) == 2 + 1 + 2
+
+    def test_a_second_study_with_the_same_good_ids_is_refit(self, monkeypatch):
+        first, second = _seeded_history_study(n=20, seed=0), _seeded_history_study(n=20, seed=0)
+        # the same values, so the same good trial ids, at other points
+        for trial in second.trials:
+            trial.params["x"] = 1.0 - trial.params["x"]
+        second.observations = type(second.observations)(second.space)
+        for trial in second.trials:
+            second.observations.add(trial, trial.final_value, complete=True)
+        sampler, calls = TpeSampler(), self._counted(monkeypatch)
+        self._ask(sampler, first, 0)
+        self._ask(sampler, second, 0)
+        assert len(calls) == 4
+        assert calls[2].tobytes() != calls[0].tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=parzen_rows())
+    def test_f_ordered_rows_fit_like_c_ordered_ones(self, case):
+        values, lows, highs, logs = case
+        c_fit = fit_parzen(np.ascontiguousarray(values), lows, highs, logs)
+        f_fit = fit_parzen(np.asfortranarray(values), lows, highs, logs)
+        for name in ("centers", "bandwidths", "weights", "_log_trunc_mass", "_log_scale"):
+            assert getattr(f_fit, name).tobytes() == getattr(c_fit, name).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=parzen_rows())
+    def test_a_fit_equals_the_estimator_built_from_its_fields(self, case):
+        # fit_parzen sets what it derives without the checks; a checked
+        # estimator of the same fields derives the same bits
+        est = fit_parzen(*case)
+        built = ParzenEstimator(est.centers, est.bandwidths, est.weights, est.low, est.high, est.is_log)
+        assert est._log_trunc_mass.tobytes() == built._log_trunc_mass.tobytes()
+        assert est._log_scale.tobytes() == built._log_scale.tobytes()

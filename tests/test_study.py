@@ -56,6 +56,21 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             uniform(math.nan, 1.0)
 
+    @pytest.mark.parametrize("kind", ["uniform-float", "log-uniform-float"])
+    @pytest.mark.parametrize(
+        "low, high",
+        [(False, True), (0.5, True), (False, 1.0), ("0", 1.0), (0.5, "1"), (None, 1.0), (0.5, [1.0])],
+    )
+    def test_continuous_bounds_must_be_numbers(self, kind, low, high):
+        # bool is an int, but a range between two booleans is no domain
+        with pytest.raises(ValidationError, match="bounds must be numbers"):
+            Distribution(kind, low=low, high=high)
+
+    def test_numeric_bounds_of_any_real_type_build(self):
+        assert uniform(0, 1).contains(0.5)
+        assert uniform(np.float64(0.0), np.int64(1)).contains(0.5)
+        assert log_uniform(np.float32(0.5), 2).contains(1.0)
+
     def test_choices_must_be_duplicate_free(self):
         with pytest.raises(ValidationError):
             int_categorical([8, 8, 16])
