@@ -3,13 +3,15 @@
 Each record is one JSON object per line with a strictly increasing `seq`;
 the first record is the study metadata. Trials follow one at a time: a
 trial-start, its intermediates, a trial-end, and the checkpoint a complete
-trial may earn. Every append is flushed before it
-returns, so a process crash loses nothing. Only the records that close a
-unit of work (`study-meta`, `trial-end`, `checkpoint`) are fsynced, and one
-fsync makes every earlier byte durable: a power loss can drop only the
-records of the trial in flight, which `run --resume` re-creates. Either
-way the file is a valid prefix plus at most one torn tail line, which
-lacks its newline and which replay ignores.
+trial may earn. `apply` is this grammar's one transition: replay folds it
+over the records, and a run passes each record through it before writing.
+Every append is flushed before it returns, so a process crash loses
+nothing. Only the records that close a unit of work (`study-meta`,
+`trial-end`, `checkpoint`) are fsynced, and one fsync makes every earlier
+byte durable: a power loss can drop only the records of the trial in
+flight, which `run --resume` re-creates. Either way the file is a valid
+prefix plus at most one torn tail line, which lacks its newline and which
+replay ignores.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .config import parse_space
 from .errors import JournalCorruptError, JournalError, StateError
-from .study import Study, TrialRecord, TrialState, meets_threshold
+from .study import COMPLETE, RUNNING, Study, TrialRecord, TrialState, meets_threshold
 
 KIND_META = "study-meta"
 KIND_TRIAL_START = "trial-start"
@@ -59,8 +61,9 @@ class Journal:
             self._fh = open(self.path, "w", encoding="utf-8")
             self.append(KIND_META, **meta)
         else:
-            raw, _, ends = contents or read_journal(self.path)
+            raw, records, ends = contents or read_journal(self.path)
             self._next_seq = _repair_tail(self.path, raw, ends, keep)
+            self._last_kind = records[self._next_seq - 1]["kind"] if self._next_seq else None
             self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, kind: str, **payload) -> dict:
@@ -74,7 +77,15 @@ class Journal:
         if kind in _FSYNCED_KINDS:
             os.fsync(self._fh.fileno())
         self._next_seq += 1
+        self._last_kind = kind
         return record
+
+    def apply_and_append(self, study: Study, save_threshold, kind: str, **payload) -> bool:
+        """Pass the record through `apply`, then append it; True if a checkpoint is due."""
+        record = {"seq": self._next_seq, "kind": kind, **payload}
+        due = apply(study, record, self._last_kind, save_threshold)
+        self.append(kind, **payload)
+        return due
 
     def close(self) -> None:
         if self._fh is not None:
@@ -172,73 +183,23 @@ def _parse(raw: bytes) -> tuple[list[dict], list[int]]:
 def study_from_records(
     records: list[dict], save_threshold: float | None | object = THRESHOLD_UNKNOWN
 ) -> Study:
-    """Rebuild the study state; a trial left mid-flight becomes failed.
-
-    The study-meta's space is parsed as the config parses its ``space``.
-    A record off the grammar (a trial-start while a trial is open, a
-    checkpoint that is not what `run_study` writes right after its trial's
-    complete trial-end, or whose trial is not then the study's best) or
-    whose fields do not fit what replay reads from it (a missing field, a
-    field of the wrong type, a value the study refuses, a space or params
-    the config or `Study.ask` would refuse) raises JournalCorruptError
-    naming it; the study-meta record is seq 0. Given the config's
-    ``save_threshold``, as `run --resume` gives it, each checkpoint must be
-    due, and each due one present unless its trial-end is the last record;
-    a threshold of None makes every checkpoint undue.
+    """Rebuild the study as a fold of `apply` over the records; a trial left
+    mid-flight becomes failed. The study-meta's space is parsed as the
+    config parses its ``space``. A record that `apply` refuses, or that
+    lacks a field it reads or holds one of the wrong type, raises
+    JournalCorruptError naming it (the study-meta is seq 0). With the
+    config's ``save_threshold``, as `run --resume` gives it, each due
+    checkpoint must also be there unless its trial-end is the last record.
     """
-    threshold_known = save_threshold is not THRESHOLD_UNKNOWN
     if not records or records[0]["kind"] != KIND_META:
         raise JournalCorruptError(0, "journal missing study-meta record")
     record = records[0]
     try:
-        study = Study(
-            space=parse_space(record["space"]),
-            direction=record["direction"],
-            seed=record["seed"],
-        )
+        study = Study(parse_space(record["space"]), record["direction"], record["seed"])
         for i, record in enumerate(records[1:], 1):
-            kind = record["kind"]
-            if kind == KIND_TRIAL_START:
-                trial_id = record["trial_id"]
-                if type(trial_id) is not int or trial_id != len(study.trials):
-                    raise JournalCorruptError(
-                        record["seq"], f"trial-start id {trial_id!r} out of order"
-                    )
-                if trial_id and study.trials[-1].state is TrialState.RUNNING:
-                    raise StateError(f"trial {trial_id - 1} is still running")
-                params = record["params"]
-                study.space.validate_assignment(params)
-                study.trials.append(TrialRecord(trial_id=trial_id, params=params))
-            # with one trial open at a time, the study refuses an intermediate
-            # or trial-end of any trial but the one started last
-            elif kind == KIND_INTERMEDIATE:
-                study.report_intermediate(record["trial_id"], record["step"], record["value"])
-            elif kind == KIND_TRIAL_END:
-                name = record["state"]
-                state = _STATES.get(name) if isinstance(name, str) else None
-                if state is None:
-                    raise JournalCorruptError(
-                        record["seq"], f"trial-end state {name!r} is not a trial state"
-                    )
-                if state is TrialState.COMPLETE:
-                    trial = study.tell(record["trial_id"], record["final_value"])
-                    trial.metrics = _metrics(record.get("metrics"))
-                    due = threshold_known and checkpoint_due(study, trial, save_threshold)
-                    if due and i + 1 < len(records) and records[i + 1]["kind"] != KIND_CHECKPOINT:
-                        raise ValueError(f"trial {trial.trial_id}'s due checkpoint is missing")
-                else:
-                    study.tell(record["trial_id"], state=state)
-            else:  # a checkpoint, of the trial whose trial-end is just before it
-                trial = study.trials[-1] if records[i - 1]["kind"] == KIND_TRIAL_END else None
-                if trial is None or trial.state is not TrialState.COMPLETE:
-                    raise ValueError("does not follow a complete trial-end")
-                written = {"seq": record["seq"], "kind": kind, **checkpoint_payload(trial)}
-                if (key := differing_key(record, written)) is not None:
-                    raise ValueError(f"{key} is not trial {trial.trial_id}'s")
-                if trial is not study.best:
-                    raise ValueError(f"trial {trial.trial_id} does not improve on the best")
-                if threshold_known and not checkpoint_due(study, trial, save_threshold):
-                    raise ValueError(f"trial {trial.trial_id} does not meet the save threshold")
+            due = apply(study, record, records[i - 1]["kind"], save_threshold)
+            if due and i + 1 < len(records) and records[i + 1]["kind"] != KIND_CHECKPOINT:
+                raise ValueError(f"trial {record['trial_id']}'s due checkpoint is missing")
     # caught, not checked per record, so a clean replay pays nothing for it
     except KeyError as exc:
         raise JournalCorruptError(record["seq"], f"{record['kind']}: missing field {exc}") from None
@@ -249,12 +210,55 @@ def study_from_records(
     return study
 
 
+def apply(study: Study, record: dict, after: str, save_threshold=THRESHOLD_UNKNOWN) -> bool:
+    """Check a record that follows one of kind ``after`` and change ``study``
+    by it. A record it refuses raises and leaves the study as it was.
+    Returns whether a due checkpoint must come next, which takes a known
+    ``save_threshold``; None makes no checkpoint due."""
+    known = save_threshold is not THRESHOLD_UNKNOWN
+    kind = record["kind"]
+    if kind == KIND_TRIAL_START:
+        trial_id = record["trial_id"]
+        if type(trial_id) is not int or trial_id != len(study.trials):
+            raise JournalCorruptError(record["seq"], f"trial-start id {trial_id!r} out of order")
+        if trial_id and study.trials[-1].state is RUNNING:
+            raise StateError(f"trial {trial_id - 1} is still running")
+        study.start(record["params"])
+    # with one trial open at a time, the study refuses an intermediate or
+    # trial-end of any trial but the one started last
+    elif kind == KIND_INTERMEDIATE:
+        study.report_intermediate(record["trial_id"], record["step"], record["value"])
+    elif kind == KIND_TRIAL_END:
+        name = record["state"]
+        state = _STATES.get(name) if isinstance(name, str) else None
+        if state is None:
+            raise JournalCorruptError(record["seq"], f"trial-end state {name!r} is not a trial state")
+        if state is COMPLETE:
+            if (metrics := record.get("metrics")) is not None:
+                _check_metrics(metrics)  # before the tell changes the study
+            trial = study.tell(record["trial_id"], record["final_value"])
+            trial.metrics = metrics
+            return known and checkpoint_due(study, trial, save_threshold)
+        study.tell(record["trial_id"], state=state)
+    else:  # a checkpoint, of the trial whose trial-end is just before it
+        trial = study.trials[-1] if after == KIND_TRIAL_END else None
+        if trial is None or trial.state is not COMPLETE:
+            raise ValueError("does not follow a complete trial-end")
+        written = {"seq": record["seq"], "kind": kind, **checkpoint_payload(trial)}
+        if (key := differing_key(record, written)) is not None:
+            raise ValueError(f"{key} is not trial {trial.trial_id}'s")
+        if trial is not study.best:
+            raise ValueError(f"trial {trial.trial_id} does not improve on the best")
+        if known and not checkpoint_due(study, trial, save_threshold):
+            raise ValueError(f"trial {trial.trial_id} does not meet the save threshold")
+    return False
+
+
 def checkpoint_due(study: Study, trial: TrialRecord, save_threshold: float | None) -> bool:
     """Whether a told trial earns a checkpoint: it is the study's best, so
-    it improves on every earlier one, and meets ``save_threshold``. The run
-    loop, a resume and replay all decide by this."""
-    direction = study.direction
-    return trial is study.best and meets_threshold(direction, trial.final_value, save_threshold)
+    it improves on every earlier one, and meets ``save_threshold``. `apply`
+    decides by it, and so does a resume whose last trial-end lacks one."""
+    return trial is study.best and meets_threshold(study.direction, trial.final_value, save_threshold)
 
 
 def checkpoint_payload(trial: TrialRecord) -> dict:
@@ -272,17 +276,16 @@ def differing_key(got: dict, want: dict) -> str | None:
     return None
 
 
-def _metrics(metrics):
-    """A trial-end's metrics if absent or shaped as the reports render them."""
-    if metrics is None or (
+def _check_metrics(metrics) -> None:
+    """Refuse a trial-end's metrics unless shaped as the reports render them."""
+    if not (
         isinstance(metrics, dict)
         and isinstance(metrics.get("confusion"), list)
         and all(isinstance(row, list) for row in metrics["confusion"])
         and isinstance(metrics.get("f1"), list)
         and type(metrics.get("macro_f1")) in (int, float)
     ):
-        return metrics
-    raise ValueError("metrics need a confusion list of lists, an f1 list and a macro_f1 number")
+        raise ValueError("metrics need a confusion list of lists, an f1 list and a macro_f1 number")
 
 
 def resume_study(path) -> Study:

@@ -1,11 +1,12 @@
-"""Study runner: ask -> objective -> report/prune -> tell, with journaling.
+"""Study runner: suggest -> objective -> report/prune -> trial-end, journaled.
 
 Trials run one at a time in one loop that owns the study and the journal,
-so each ask sees every earlier trial's outcome and every run of a config
-writes the same journal bytes. The loop applies the config's ``RunPolicy``:
-its trial budget, and its save and stop thresholds, which it reads against
-the best trial the study keeps. `journal.checkpoint_due` decides each
-checkpoint, for the loop, for a resume and for replay.
+so each suggestion sees every earlier trial's outcome and every run of a
+config writes the same journal bytes. The loop changes the study only by
+the records it writes, each passed through `journal.apply`, the transition
+replay folds, before it is written: a run writes no record its replay
+refuses, and `apply` says when a checkpoint is due. The loop reads the
+policy's trial budget and stop threshold against the study's best trial.
 
 A resumed run replays the journal once, reruns a last trial left in
 flight or writes its missing due checkpoint, and goes on; per-trial RNG
@@ -16,6 +17,7 @@ and resumed writes the same bytes as one that is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -136,10 +138,10 @@ def _open_journal(path: Path, meta: dict, config: ExperimentConfig, resume: bool
         # the open trial's records: its trial-start and one per intermediate
         keep -= 1 + len(study.trials.pop().intermediates)
     journal = Journal(path, keep=keep, contents=contents)
-    if last == journal_mod.KIND_TRIAL_END:
-        trial = study.trials[-1]
-        if checkpoint_due(study, trial, config.policy.save_threshold):
-            journal.append(journal_mod.KIND_CHECKPOINT, **journal_mod.checkpoint_payload(trial))
+    threshold = config.policy.save_threshold
+    if last == journal_mod.KIND_TRIAL_END and checkpoint_due(study, study.trials[-1], threshold):
+        payload = journal_mod.checkpoint_payload(study.trials[-1])
+        journal.apply_and_append(study, threshold, journal_mod.KIND_CHECKPOINT, **payload)
     return journal, study
 
 
@@ -152,15 +154,11 @@ def run_study(config: ExperimentConfig, journal_path=None, resume: bool = False)
     """
     direction = config.direction
     policy = config.policy
-    sampler = make_sampler(
-        config.sampler.kind,
-        tpe_config=config.sampler.tpe,
-        resolution=config.sampler.resolution,
-    )
+    spec = config.sampler
+    sampler = make_sampler(spec.kind, tpe_config=spec.tpe, resolution=spec.resolution)
     objective = build_objective(config)
 
-    out_dir = Path(config.output_dir)
-    journal_path = Path(journal_path) if journal_path else out_dir / "journal.jsonl"
+    journal_path = Path(journal_path or Path(config.output_dir) / "journal.jsonl")
     meta = {
         "space": config.space.to_dict(),
         "direction": direction,
@@ -169,6 +167,7 @@ def run_study(config: ExperimentConfig, journal_path=None, resume: bool = False)
     }
 
     journal, study = _open_journal(journal_path, meta, config, resume)
+    write = partial(journal.apply_and_append, study, policy.save_threshold)
 
     with journal:
         # the best meets stop_threshold exactly when some complete trial does
@@ -177,38 +176,29 @@ def run_study(config: ExperimentConfig, journal_path=None, resume: bool = False)
             and meets_threshold(direction, study.best.final_value, policy.stop_threshold)
         ):
             try:
-                trial = study.ask(sampler)
+                params = sampler.suggest(study)
             except ExhaustedSearchError:
                 break
-            trial_id = trial.trial_id
-            journal.append(journal_mod.KIND_TRIAL_START, trial_id=trial_id, params=trial.params)
+            trial_id = len(study.trials)
+            write(journal_mod.KIND_TRIAL_START, trial_id=trial_id, params=params)
 
             def reporter(step, value):
-                study.report_intermediate(trial_id, step, value)
-                journal.append(
-                    journal_mod.KIND_INTERMEDIATE, trial_id=trial_id, step=step, value=value
-                )
-                if config.pruner is not None and should_prune(
-                    study, trial_id, step, config.pruner
-                ):
+                write(journal_mod.KIND_INTERMEDIATE, trial_id=trial_id, step=step, value=value)
+                if config.pruner is not None and should_prune(study, trial_id, step, config.pruner):
                     raise TrialPruned()
 
             try:
-                value, metrics = objective(trial.params, reporter, [study.seed, trial_id, 1])
+                value, metrics = objective(params, reporter, [study.seed, trial_id, 1])
             except TrialPruned:
-                study.tell(trial_id, state=TrialState.PRUNED)
                 end = {"state": TrialState.PRUNED.value}
             except DivergenceError as exc:
-                study.tell(trial_id, state=TrialState.FAILED)
                 end = {"state": TrialState.FAILED.value, "reason": str(exc)}
             else:
-                value = float(value)
-                study.tell(trial_id, value).metrics = metrics
-                end = {"state": TrialState.COMPLETE.value, "final_value": value}
+                end = {"state": TrialState.COMPLETE.value, "final_value": float(value)}
                 if metrics is not None:
                     end["metrics"] = metrics
-            journal.append(journal_mod.KIND_TRIAL_END, trial_id=trial_id, **end)
-            if checkpoint_due(study, trial, policy.save_threshold):
-                journal.append(journal_mod.KIND_CHECKPOINT, **journal_mod.checkpoint_payload(trial))
+            if write(journal_mod.KIND_TRIAL_END, trial_id=trial_id, **end):
+                payload = journal_mod.checkpoint_payload(study.trials[trial_id])
+                write(journal_mod.KIND_CHECKPOINT, **payload)
 
     return StudyResult(study=study, best=study.best, journal_path=journal_path)

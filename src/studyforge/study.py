@@ -146,7 +146,7 @@ class SearchSpace:
 
     def validate_assignment(self, params: dict[str, Any]) -> None:
         """Check that params is a dict naming every entry exactly once,
-        each value in its domain. Both `Study.ask` and replay use it."""
+        each value in its domain. `Study.start` opens a trial by it."""
         if not isinstance(params, dict) or params.keys() != self.entries.keys():
             names = params.keys() if isinstance(params, dict) else set()
             raise ValidationError(
@@ -176,6 +176,9 @@ class TrialState(str, enum.Enum):
     COMPLETE = "complete"
     PRUNED = "pruned"
     FAILED = "failed"
+
+
+RUNNING, COMPLETE = TrialState.RUNNING, TrialState.COMPLETE  # an enum lookup costs ~0.1 us
 
 
 @dataclass
@@ -294,7 +297,7 @@ class Study:
         if type(trial_id) is not int or not 0 <= trial_id < len(self.trials):
             raise StateError(f"unknown trial id {trial_id!r}")
         trial = self.trials[trial_id]
-        if trial.state is not TrialState.RUNNING:
+        if trial.state is not RUNNING:
             raise StateError(
                 f"trial {trial_id} is {trial.state.value}, expected running"
             )
@@ -302,7 +305,10 @@ class Study:
 
     def ask(self, sampler) -> TrialRecord:
         # a sampler that draws builds the new trial's lane-0 stream itself
-        params = sampler.suggest(self)
+        return self.start(sampler.suggest(self))
+
+    def start(self, params: dict[str, Any]) -> TrialRecord:
+        """Open the next trial at ``params``: what `ask` and a trial-start do."""
         self.space.validate_assignment(params)
         trial = TrialRecord(trial_id=len(self.trials), params=params)
         self.trials.append(trial)
@@ -317,7 +323,7 @@ class Study:
         """Record the trial outcome: a final value, or pruned/failed."""
         trial = self._get_running(trial_id)
         if value is not None:
-            if state is not None and state is not TrialState.COMPLETE:
+            if state is not None and state is not COMPLETE:
                 raise StateError("value given but state is not complete")
             if (
                 isinstance(value, bool)
@@ -325,7 +331,7 @@ class Study:
                 or not math.isfinite(value)
             ):
                 raise ValidationError(f"final value must be finite, got {value!r}")
-            trial.state = TrialState.COMPLETE
+            trial.state = COMPLETE
             trial.final_value = value = float(value)
             self.observations.add(trial, value, complete=True)
             for step, v in trial.intermediates:

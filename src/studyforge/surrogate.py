@@ -407,7 +407,8 @@ def confusion_and_f1(
     labs = np.asarray(labels, dtype=int)
     if preds.shape != labs.shape:
         raise ValidationError("predictions and labels must have equal length")
-    if preds.size and (preds.max() >= n_classes or labs.max() >= n_classes):
+    indices = np.concatenate((preds, labs))
+    if indices.size and not 0 <= indices.min() <= indices.max() < n_classes:
         raise ValidationError("class index out of range")
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     for lab, pred in zip(labs, preds):

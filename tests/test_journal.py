@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from studyforge import journal as journal_mod
 from studyforge.cli import main
-from studyforge.errors import JournalCorruptError, JournalError, ValidationError
+from studyforge.errors import JournalCorruptError, JournalError, StateError, ValidationError
 from studyforge.journal import (
     KIND_CHECKPOINT,
     KIND_INTERMEDIATE,
     KIND_META,
     KIND_TRIAL_END,
     KIND_TRIAL_START,
+    THRESHOLD_UNKNOWN,
     Journal,
+    apply,
     read_records,
     resume_study,
     study_from_records,
@@ -527,6 +529,145 @@ class TestReplayRejects:
         assert captured.out == ""
         assert captured.err.startswith(f"error: record seq={seq}: ")
         assert captured.err.count("\n") == 1
+
+
+def snapshot(study):
+    """Every field of a study that a record can change."""
+    trials = [
+        (t.trial_id, dict(t.params), t.state, t.final_value, list(t.intermediates), t.metrics)
+        for t in study.trials
+    ]
+    seen = study.observations
+    best = study.best and study.best.trial_id
+    peers = {step: list(values) for step, values in study.peers.items()}
+    return trials, peers, best, seen.n_complete, seen.trial_ids(range(len(seen)))
+
+
+def applied(records, save_threshold=THRESHOLD_UNKNOWN):
+    """A demo study after applying the records, each after the one before it."""
+    study = make_study(demo_space())
+    after = KIND_META
+    for record in records:
+        apply(study, record, after, save_threshold)
+        after = record["kind"]
+    return study, after
+
+
+PARAMS = {"x": 0.5, "batch_size": 8, "hflip": False}
+OPEN_TRIAL = [
+    {"seq": 1, "kind": KIND_TRIAL_START, "trial_id": 0, "params": PARAMS},
+    {"seq": 2, "kind": KIND_INTERMEDIATE, "trial_id": 0, "step": 0, "value": 0.5},
+]
+
+
+class TestApply:
+    """`apply` is the journal's one transition: a run passes each record
+    through it before writing it, and replay folds it over a journal."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {
+                "kind": KIND_TRIAL_END,
+                "state": "complete",
+                "final_value": 0.4,
+                "metrics": {"confusion": [[1]], "f1": [1.0], "macro_f1": "high"},
+            },
+            {"kind": KIND_TRIAL_END, "state": "complete", "final_value": "0.4"},
+            {"kind": KIND_TRIAL_END, "state": "running"},
+            {"kind": KIND_TRIAL_END, "state": "complete"},
+            {"kind": KIND_INTERMEDIATE, "step": 0, "value": 0.4},
+            {"kind": KIND_INTERMEDIATE, "step": 1, "value": True},
+            {"kind": KIND_TRIAL_START, "params": PARAMS},
+            {"kind": KIND_CHECKPOINT, "value": 0.4, "best_params": PARAMS},
+        ],
+    )
+    def test_a_refused_record_leaves_the_study_as_it_was(self, record):
+        study, after = applied(OPEN_TRIAL)
+        before = snapshot(study)
+        trial_id = 1 if record["kind"] == KIND_TRIAL_START else 0
+        with pytest.raises((ValueError, KeyError, StateError, JournalError)):
+            apply(study, {"seq": 3, **record, "trial_id": trial_id}, after, 0.5)
+        assert snapshot(study) == before
+        end = {"seq": 3, "kind": KIND_TRIAL_END, "trial_id": 0, "state": "complete"}
+        assert apply(study, {**end, "final_value": 0.4}, after, 0.5)
+        assert study.best is study.trials[0]
+
+    @pytest.mark.parametrize(
+        "value, save_threshold, due",
+        [
+            (0.4, 0.5, True),
+            (0.4, 0.4, True),
+            (0.6, 0.5, False),
+            (0.4, None, False),
+            (0.4, THRESHOLD_UNKNOWN, False),
+        ],
+    )
+    def test_a_complete_trial_end_says_whether_its_checkpoint_is_due(
+        self, value, save_threshold, due
+    ):
+        study, after = applied(OPEN_TRIAL)
+        end = {"seq": 3, "kind": KIND_TRIAL_END, "trial_id": 0, "state": "complete"}
+        assert apply(study, {**end, "final_value": value}, after, save_threshold) is due
+
+    def test_a_trial_no_better_than_the_best_is_not_due(self):
+        end = {"kind": KIND_TRIAL_END, "state": "complete"}
+        study, after = applied(
+            [
+                *OPEN_TRIAL,
+                {"seq": 3, **end, "trial_id": 0, "final_value": 0.2},
+                {"seq": 4, "kind": KIND_TRIAL_START, "trial_id": 1, "params": PARAMS},
+            ]
+        )
+        assert not apply(study, {"seq": 5, **end, "trial_id": 1, "final_value": 0.3}, after, 0.5)
+
+    def test_pruned_and_failed_trial_ends_are_never_due(self):
+        for state in ("pruned", "failed"):
+            study, after = applied(OPEN_TRIAL)
+            end = {"seq": 3, "kind": KIND_TRIAL_END, "trial_id": 0, "state": state}
+            assert apply(study, end, after, 0.5) is False
+
+    def test_the_journal_writes_no_record_the_study_refuses(self, tmp_path):
+        path = tmp_path / "study.jsonl"
+        study = make_study(demo_space())
+        with Journal(path, meta=meta_for(demo_space())) as journal:
+            journal.apply_and_append(study, 0.5, KIND_TRIAL_START, trial_id=0, params=PARAMS)
+            with pytest.raises(ValueError, match="metrics need"):
+                journal.apply_and_append(
+                    study,
+                    0.5,
+                    KIND_TRIAL_END,
+                    trial_id=0,
+                    state="complete",
+                    final_value=0.4,
+                    metrics={"f1": []},
+                )
+            # the next seq is still free, and a checkpoint must follow a trial-end
+            end = {"trial_id": 0, "state": "complete", "final_value": 0.4}
+            assert journal.apply_and_append(study, 0.5, KIND_TRIAL_END, **end)
+            checkpoint = {"trial_id": 0, "value": 0.4, "best_params": PARAMS}
+            journal.apply_and_append(study, 0.5, KIND_CHECKPOINT, **checkpoint)
+        records = read_records(path)
+        kinds = [KIND_META, KIND_TRIAL_START, KIND_TRIAL_END, KIND_CHECKPOINT]
+        assert [r["kind"] for r in records] == kinds
+        assert snapshot(study_from_records(records, 0.5)) == snapshot(study)
+
+    def test_a_reopened_journal_knows_its_last_kind(self, tmp_path):
+        """A checkpoint appended after reopening a journal that ends at a
+        trial-end follows it, as it must; after a checkpoint it may not."""
+        path = tmp_path / "study.jsonl"
+        study = make_study(demo_space())
+        end = {"trial_id": 0, "state": "complete", "final_value": 0.4}
+        checkpoint = {"trial_id": 0, "value": 0.4, "best_params": PARAMS}
+        with Journal(path, meta=meta_for(demo_space())) as journal:
+            journal.apply_and_append(study, 0.5, KIND_TRIAL_START, trial_id=0, params=PARAMS)
+            journal.apply_and_append(study, 0.5, KIND_TRIAL_END, **end)
+        with Journal(path) as journal:
+            journal.apply_and_append(study, 0.5, KIND_CHECKPOINT, **checkpoint)
+        with Journal(path) as journal:
+            with pytest.raises(ValueError, match="does not follow a complete trial-end"):
+                journal.apply_and_append(study, 0.5, KIND_CHECKPOINT, **checkpoint)
+        assert len(read_records(path)) == 4
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

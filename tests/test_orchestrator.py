@@ -1,28 +1,36 @@
 import hashlib
 import json
 import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from studyforge import orchestrator
 from studyforge.augment import write_pgm
+from studyforge.cli import main
 from studyforge.config import (
     ExperimentConfig,
     RunPolicy,
     SamplerSpec,
+    apply_overrides,
+    config_from_mapping,
     config_hash,
     direction_for_objective,
     dump_config,
+    load_yaml,
     parse_config,
 )
 from studyforge.errors import ValidationError
-from studyforge.journal import read_records, resume_study
+from studyforge.journal import read_records, resume_study, study_from_records
 from studyforge.manifest import LABELS, MANIFEST_HEADER
 from studyforge.orchestrator import build_surrogate_data, run_study
 from studyforge.pruning import PrunerConfig
 from studyforge.study import SearchSpace, TrialState, log_uniform, uniform
 from studyforge.surrogate import SyntheticSpec, class_template
+
+from test_resume import stepwise_config, stepwise_objective
 
 
 def quadratic_config(tmp_path, *, n_trials=6, sampler=None, policy=None, seed=0):
@@ -434,3 +442,88 @@ class TestConfigHash:
         assert config_hash(quadratic_config(tmp_path, seed=0)) != config_hash(
             quadratic_config(tmp_path, seed=1)
         )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def shipped_config(tmp_path, path, **overrides):
+    raw = load_yaml((ROOT / path).read_text())
+    sets = [f"{key}={value}" for key, value in overrides.items()]
+    return config_from_mapping(apply_overrides(raw, [*sets, f"output_dir={tmp_path / 'out'}"]))
+
+
+def assert_same_study(live, replayed):
+    """Two studies equal in every field a later ask, prune or report reads."""
+    assert len(live.trials) == len(replayed.trials)
+    for a, b in zip(live.trials, replayed.trials):
+        assert a.trial_id == b.trial_id
+        assert a.params == b.params
+        assert a.state is b.state
+        assert a.final_value == b.final_value
+        assert a.intermediates == b.intermediates
+        assert a.metrics == b.metrics
+    assert (live.best and live.best.trial_id) == (replayed.best and replayed.best.trial_id)
+    assert live.peers == replayed.peers
+    seen, kept = live.observations, replayed.observations
+    assert seen.n_complete == kept.n_complete
+    assert seen.values.tolist() == kept.values.tolist()
+    assert seen.trial_ids(range(len(seen))) == kept.trial_ids(range(len(kept)))
+
+
+class TestLiveStudyEqualsReplay:
+    @pytest.mark.parametrize(
+        "path, overrides, states",
+        [
+            ("configs/quadratic.yaml", {"policy.n_trials": 6}, {"complete": 6}),
+            (
+                "configs/pruned_surrogate.yaml",
+                {"policy.n_trials": 12},
+                {"complete": 8, "pruned": 4},
+            ),
+            ("configs/default.yaml", {"epochs": 1, "policy.n_trials": 12}, {"complete": 12}),
+            ("perfbench/configs/grid_sphere.yaml", {"policy.n_trials": 20}, {"complete": 20}),
+            ("perfbench/configs/tpe_sphere.yaml", {"policy.n_trials": 30}, {"complete": 30}),
+        ],
+    )
+    def test_every_shipped_config(self, tmp_path, path, overrides, states):
+        config = shipped_config(tmp_path, path, **overrides)
+        result = run_study(config)
+        assert Counter(t.state.value for t in result.study.trials) == states
+        replayed = study_from_records(
+            read_records(result.journal_path), config.policy.save_threshold
+        )
+        assert_same_study(result.study, replayed)
+
+    def test_a_study_with_failed_trials(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "build_objective", stepwise_objective)
+        config = stepwise_config(tmp_path)
+        result = run_study(config)
+        assert {"complete", "pruned", "failed"} <= {t.state.value for t in result.study.trials}
+        replayed = study_from_records(
+            read_records(result.journal_path), config.policy.save_threshold
+        )
+        assert_same_study(result.study, replayed)
+
+
+class TestRunWritesNoRecordItsReplayRefuses:
+    def test_metrics_replay_would_refuse_stop_the_run_before_its_trial_end(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def objective(config):
+            def run(params, reporter, seed):
+                reporter(0, 0.5)
+                return 0.5, {"confusion": [[1]], "f1": [1.0], "macro_f1": "high"}
+
+            return run
+
+        monkeypatch.setattr(orchestrator, "build_objective", objective)
+        out = tmp_path / "out"
+        config = str(ROOT / "configs" / "quadratic.yaml")
+        assert main(["run", config, "--set", f"output_dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: metrics need ") and err.count("\n") == 1
+        kinds = [r["kind"] for r in read_records(out / "journal.jsonl")]
+        assert kinds == ["study-meta", "trial-start", "intermediate"]
+        assert main(["best", str(out / "journal.jsonl")]) == 1
+        assert capsys.readouterr().err == "error: journal has no completed trials\n"

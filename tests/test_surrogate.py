@@ -393,9 +393,14 @@ class TestConfusionAndF1:
         with pytest.raises(ValidationError):
             confusion_and_f1([0, 1], [0], 2)
 
-    def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            confusion_and_f1([2], [0], 2)
+    @pytest.mark.parametrize(
+        "preds, labels",
+        [([2], [0]), ([0, 1, 1], [0, -1, 1]), ([0, -2], [0, 1])],
+    )
+    def test_index_out_of_range_rejected(self, preds, labels):
+        # a negative index would count as the class it wraps around to
+        with pytest.raises(ValidationError, match="class index out of range"):
+            confusion_and_f1(preds, labels, 2)
 
     def test_row_sums_count_true_labels(self):
         rng = np.random.default_rng(13)
